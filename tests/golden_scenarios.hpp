@@ -12,8 +12,13 @@
 #ifndef ERMS_TESTS_GOLDEN_SCENARIOS_HPP
 #define ERMS_TESTS_GOLDEN_SCENARIOS_HPP
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "graph/dependency_graph.hpp"
+#include "model/catalog.hpp"
 
 namespace erms::golden {
 
@@ -52,6 +57,32 @@ std::string marketGolden();
  *  per-minute violation/guard-state trajectory and the perturbed
  *  scrape stream's shape end to end. */
 std::string chaosCampaignGolden();
+
+/** A randomized shared-microservice workload, fully determined by the
+ *  seed: the same seed always builds the same catalog, graphs, rates,
+ *  and initial container counts. */
+struct FuzzWorkload
+{
+    MicroserviceCatalog catalog;
+    std::vector<std::unique_ptr<DependencyGraph>> graphs;
+    std::vector<MicroserviceId> microservices;
+    std::vector<ServiceId> serviceIds;
+    std::vector<double> rates;
+    std::vector<int> initialContainers; ///< parallel to microservices
+};
+
+FuzzWorkload buildFuzzWorkload(std::uint64_t seed);
+
+/** Run one seeded fuzz workload with scale churn, crashes, slowdowns,
+ *  retries, timeouts and hedges all on, and return a hexfloat digest
+ *  of everything the run observes. */
+std::string dispatchFuzzDigest(std::uint64_t seed);
+
+/** Dispatch fuzz: dispatchFuzzDigest over seeds 1..20. Generated while
+ *  the binary-heap event engine still shipped and matched the calendar
+ *  engine byte for byte, so this table is the heap engine's frozen
+ *  output — the simulation-level ordering oracle. */
+std::string dispatchFuzzGolden();
 
 /** All golden scenarios in regeneration order. */
 const std::vector<Scenario> &scenarios();
