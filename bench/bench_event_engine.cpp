@@ -1,10 +1,14 @@
 /**
  * @file
  * Event-engine perf trajectory: measures the raw queue and the largest
- * simulation configuration under both the pre-refactor legacy engine
- * (binary heap + heap-allocated std::function per event) and the
- * calendar engine (typed pool-recycled records), then writes the
- * before/after events-per-second table as machine-readable JSON.
+ * simulation configuration, then writes absolute events per second
+ * (median, min and max over the repetitions) together with the host's
+ * CPU model and online CPU count as machine-readable JSON.
+ *
+ * Equal-work gate: every raw repetition must dispatch exactly the
+ * requested event count, and every simulation repetition must dispatch
+ * the same count; otherwise the numbers describe different work and
+ * the program exits nonzero.
  *
  * Usage: bench_event_engine [output.json]
  * Default output: BENCH_event_engine.json in the current directory.
@@ -13,50 +17,108 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "event_engine_scenario.hpp"
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 using namespace erms;
 using namespace erms::bench;
 
 namespace {
 
-/** Best-of-N: the trajectory tracks engine capability, not machine
- *  noise, so each cell is the fastest of `reps` runs. */
+/** All repetitions of one workload, in run order. */
 template <typename Fn>
-EngineRun
-bestOf(int reps, Fn &&fn)
+std::vector<EngineRun>
+repeat(int reps, Fn &&fn)
 {
-    EngineRun best;
-    for (int i = 0; i < reps; ++i) {
-        const EngineRun run = fn();
-        if (best.events == 0 || run.eventsPerSec() > best.eventsPerSec())
-            best = run;
+    std::vector<EngineRun> runs;
+    for (int i = 0; i < reps; ++i)
+        runs.push_back(fn());
+    return runs;
+}
+
+/** The "model name" line of /proc/cpuinfo, or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const auto colon = line.find(':');
+        if (colon != std::string::npos && colon + 2 <= line.size())
+            return line.substr(colon + 2);
     }
-    return best;
+    return "unknown";
+}
+
+/** CPUs this process may run on (what `nproc` prints). */
+unsigned
+onlineCpus()
+{
+#ifdef __linux__
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return static_cast<unsigned>(CPU_COUNT(&set));
+#endif
+    return std::thread::hardware_concurrency();
+}
+
+/** Every repetition dispatched `expected` events. */
+bool
+sameWork(const char *name, const std::vector<EngineRun> &runs,
+         std::uint64_t expected)
+{
+    for (const EngineRun &run : runs) {
+        if (run.events != expected) {
+            std::fprintf(stderr,
+                         "FAIL: %s dispatched %llu events, expected %llu\n",
+                         name, static_cast<unsigned long long>(run.events),
+                         static_cast<unsigned long long>(expected));
+            return false;
+        }
+    }
+    return true;
+}
+
+/** Events per second of every repetition, ascending. */
+std::vector<double>
+sortedRates(const std::vector<EngineRun> &runs)
+{
+    std::vector<double> rates;
+    for (const EngineRun &run : runs)
+        rates.push_back(run.eventsPerSec());
+    std::sort(rates.begin(), rates.end());
+    return rates;
 }
 
 void
-writeSection(std::FILE *out, const char *name, const EngineRun &legacy,
-             const EngineRun &calendar, bool last)
+writeSection(std::FILE *out, const char *name,
+             const std::vector<EngineRun> &runs, bool last)
 {
+    const std::vector<double> rates = sortedRates(runs);
+    std::fprintf(out, "  \"%s\": {\n    \"rep_events\": [", name);
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        std::fprintf(out, "%s%llu", i ? ", " : "",
+                     static_cast<unsigned long long>(runs[i].events));
+    std::fprintf(out, "],\n    \"rep_seconds\": [");
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        std::fprintf(out, "%s%.6f", i ? ", " : "", runs[i].seconds);
     std::fprintf(out,
-                 "  \"%s\": {\n"
-                 "    \"legacy_events\": %llu,\n"
-                 "    \"legacy_seconds\": %.6f,\n"
-                 "    \"legacy_events_per_sec\": %.0f,\n"
-                 "    \"calendar_events\": %llu,\n"
-                 "    \"calendar_seconds\": %.6f,\n"
-                 "    \"calendar_events_per_sec\": %.0f,\n"
-                 "    \"speedup\": %.3f\n"
+                 "],\n"
+                 "    \"events_per_sec_median\": %.0f,\n"
+                 "    \"events_per_sec_min\": %.0f,\n"
+                 "    \"events_per_sec_max\": %.0f\n"
                  "  }%s\n",
-                 name,
-                 static_cast<unsigned long long>(legacy.events),
-                 legacy.seconds, legacy.eventsPerSec(),
-                 static_cast<unsigned long long>(calendar.events),
-                 calendar.seconds, calendar.eventsPerSec(),
-                 calendar.eventsPerSec() / legacy.eventsPerSec(),
+                 rates[rates.size() / 2], rates.front(), rates.back(),
                  last ? "" : ",");
 }
 
@@ -71,45 +133,17 @@ main(int argc, char **argv)
     constexpr std::uint64_t kRawEvents = 8'000'000;
     constexpr int kSimMinutes = 1;
     constexpr int kSimScale = 8;
-    constexpr int kReps = 5;
+    constexpr int kReps = 5; // odd, so the median is one real run
 
-    std::fprintf(stderr, "raw queue: legacy engine...\n");
-    const EngineRun raw_legacy =
-        bestOf(kReps, [] { return runRawLegacy(kRawEvents); });
-    std::fprintf(stderr, "raw queue: calendar engine...\n");
-    const EngineRun raw_calendar =
-        bestOf(kReps, [] { return runRawCalendar(kRawEvents); });
+    std::fprintf(stderr, "raw queue...\n");
+    const std::vector<EngineRun> raw =
+        repeat(kReps, [] { return runRawQueue(kRawEvents); });
+    std::fprintf(stderr, "simulation (largest config)...\n");
+    const std::vector<EngineRun> sim = repeat(
+        kReps, [] { return runSimScenario(kSimMinutes, kSimScale); });
 
-    std::fprintf(stderr, "simulation (largest config): legacy engine...\n");
-    const EngineRun sim_legacy = bestOf(kReps, [] {
-        return runSimScenario(EventEngine::LegacyHeap, kSimMinutes,
-                              kSimScale);
-    });
-    std::fprintf(stderr, "simulation (largest config): calendar engine...\n");
-    const EngineRun sim_calendar = bestOf(kReps, [] {
-        return runSimScenario(EventEngine::Calendar, kSimMinutes,
-                              kSimScale);
-    });
-
-    // Fairness gate: a speedup quoted over unequal event sets is
-    // meaningless. Both engines must process the identical workload.
-    bool fair = true;
-    if (raw_legacy.events != raw_calendar.events) {
-        std::fprintf(stderr,
-                     "FAIL: raw event counts diverge (legacy %llu, "
-                     "calendar %llu)\n",
-                     static_cast<unsigned long long>(raw_legacy.events),
-                     static_cast<unsigned long long>(raw_calendar.events));
-        fair = false;
-    }
-    if (sim_legacy.events != sim_calendar.events) {
-        std::fprintf(stderr,
-                     "FAIL: sim event counts diverge (legacy %llu, "
-                     "calendar %llu)\n",
-                     static_cast<unsigned long long>(sim_legacy.events),
-                     static_cast<unsigned long long>(sim_calendar.events));
-        fair = false;
-    }
+    const bool fair = sameWork("raw queue", raw, kRawEvents) &&
+                      sameWork("simulation", sim, sim.front().events);
 
     std::FILE *out = std::fopen(path.c_str(), "w");
     if (out == nullptr) {
@@ -118,28 +152,24 @@ main(int argc, char **argv)
     }
     std::fprintf(out, "{\n");
     std::fprintf(out, "  \"benchmark\": \"event_engine\",\n");
+    std::fprintf(out, "  \"host_cpu_model\": \"%s\",\n",
+                 cpuModel().c_str());
+    std::fprintf(out, "  \"host_nproc\": %u,\n", onlineCpus());
     std::fprintf(out, "  \"raw_events_requested\": %llu,\n",
                  static_cast<unsigned long long>(kRawEvents));
     std::fprintf(out, "  \"sim_minutes\": %d,\n", kSimMinutes);
     std::fprintf(out, "  \"sim_scale\": %d,\n", kSimScale);
     std::fprintf(out, "  \"reps\": %d,\n", kReps);
-    writeSection(out, "raw_queue", raw_legacy, raw_calendar,
-                 /*last=*/false);
-    writeSection(out, "sim_largest", sim_legacy, sim_calendar,
-                 /*last=*/true);
+    writeSection(out, "raw_queue", raw, /*last=*/false);
+    writeSection(out, "sim_largest", sim, /*last=*/true);
     std::fprintf(out, "}\n");
     std::fclose(out);
 
     std::fprintf(stderr,
-                 "raw queue:   %.2fM ev/s -> %.2fM ev/s (%.2fx)\n"
-                 "sim largest: %.2fM ev/s -> %.2fM ev/s (%.2fx)\n"
+                 "raw queue:   %.2fM ev/s median\n"
+                 "sim largest: %.2fM ev/s median\n"
                  "wrote %s\n",
-                 raw_legacy.eventsPerSec() / 1e6,
-                 raw_calendar.eventsPerSec() / 1e6,
-                 raw_calendar.eventsPerSec() / raw_legacy.eventsPerSec(),
-                 sim_legacy.eventsPerSec() / 1e6,
-                 sim_calendar.eventsPerSec() / 1e6,
-                 sim_calendar.eventsPerSec() / sim_legacy.eventsPerSec(),
-                 path.c_str());
+                 sortedRates(raw)[kReps / 2] / 1e6,
+                 sortedRates(sim)[kReps / 2] / 1e6, path.c_str());
     return fair ? 0 : 1;
 }

@@ -223,30 +223,23 @@ BENCHMARK(BM_ParallelSimulationSweep)
 
 // ---------------------------------------------------------------------
 // Event-engine throughput (events/second in the items_per_second
-// column). Arg(0) = calendar engine, Arg(1) = legacy binary heap; the
-// ratio is the engine-refactor speedup. bench_event_engine writes the
-// same comparison as JSON (BENCH_event_engine.json).
+// column). bench_event_engine writes the same measurement as JSON
+// (BENCH_event_engine.json).
 // ---------------------------------------------------------------------
 
 void
 BM_EventEngineRawDispatch(benchmark::State &state)
 {
-    const bool legacy = state.range(0) != 0;
     constexpr std::uint64_t kEvents = 2'000'000;
     std::uint64_t total = 0;
     for (auto _ : state) {
-        const bench::EngineRun run = legacy
-                                         ? bench::runRawLegacy(kEvents)
-                                         : bench::runRawCalendar(kEvents);
+        const bench::EngineRun run = bench::runRawQueue(kEvents);
         total += run.events;
         benchmark::DoNotOptimize(run);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(total));
-    state.SetLabel(legacy ? "legacy heap" : "calendar queue");
 }
 BENCHMARK(BM_EventEngineRawDispatch)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -255,21 +248,15 @@ BM_EventEngineSimulation(benchmark::State &state)
 {
     // The suite's largest simulation configuration, timed end to end;
     // items/second counts dispatched simulator events.
-    const bool legacy = state.range(0) != 0;
     std::uint64_t total = 0;
     for (auto _ : state) {
-        const bench::EngineRun run = bench::runSimScenario(
-            legacy ? EventEngine::LegacyHeap : EventEngine::Calendar,
-            /*minutes=*/1);
+        const bench::EngineRun run = bench::runSimScenario(/*minutes=*/1);
         total += run.events;
         benchmark::DoNotOptimize(run);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(total));
-    state.SetLabel(legacy ? "legacy heap" : "calendar queue");
 }
 BENCHMARK(BM_EventEngineSimulation)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

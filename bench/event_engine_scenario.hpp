@@ -3,8 +3,7 @@
  * Shared event-engine benchmark scenarios, used by bench_event_engine
  * (the machine-readable perf trajectory, BENCH_event_engine.json) and
  * by the events-per-second section of bench_scalability. Both measure
- * the same two workloads under the calendar engine and the legacy
- * binary-heap engine kept in-tree for exactly this comparison:
+ * the same two workloads:
  *
  *  - raw queue: a self-perpetuating timer population (every dispatched
  *    event schedules a successor at a pseudo-random offset), the pure
@@ -25,7 +24,6 @@
 #include "graph/dependency_graph.hpp"
 #include "model/catalog.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/legacy_event_queue.hpp"
 #include "sim/simulation.hpp"
 
 namespace erms::bench {
@@ -40,7 +38,7 @@ struct EngineRun
     }
 };
 
-/** Deterministic offset stream (splitmix64) shared by both engines. */
+/** Deterministic offset stream (splitmix64). */
 inline std::uint64_t
 mixOffset(std::uint64_t x)
 {
@@ -52,10 +50,11 @@ mixOffset(std::uint64_t x)
 
 constexpr std::uint64_t kTimerPopulation = 4096;
 
-/** Raw-queue workload on the calendar engine: typed records through
- *  post()/next(), the simulator's allocation-free hot path. */
+/** Raw-queue workload: typed records through post()/drain(), the
+ *  simulator's allocation-free hot path. Each dispatch posts its
+ *  successor; the drain pauses after exactly total_events dispatches. */
 inline EngineRun
-runRawCalendar(std::uint64_t total_events)
+runRawQueue(std::uint64_t total_events)
 {
     EventQueue q;
     std::uint64_t state = 1;
@@ -65,57 +64,13 @@ runRawCalendar(std::uint64_t total_events)
     }
     std::uint64_t dispatched = 0;
     const auto start = std::chrono::steady_clock::now();
-    EventRecord rec;
-    while (dispatched < total_events &&
-           q.next(~static_cast<SimTime>(0), rec)) {
-        ++dispatched;
-        state = mixOffset(state + rec.a);
-        q.postAfter(1 + state % 1024, EventRecord{.a = rec.a, .type = 1});
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    EngineRun run;
-    run.seconds = std::chrono::duration<double>(stop - start).count();
-    run.events = dispatched;
-    return run;
-}
-
-/** Raw-queue workload on the legacy engine: one std::function per
- *  event, dispatched through the binary heap — the pre-refactor cost
- *  model. The pre-refactor simulator closures captured an EventRecord's
- *  worth of payload (beyond std::function's small-buffer size), so each
- *  closure here carries the same payload to keep the per-event heap
- *  allocation the old engine paid. */
-inline EngineRun
-runRawLegacy(std::uint64_t total_events)
-{
-    LegacyEventQueue q;
-    std::uint64_t state = 1;
-    std::uint64_t dispatched = 0;
-    struct Payload // what a typed record carries, closure-captured
-    {
-        std::uint64_t a = 0, b = 0;
-        void *p1 = nullptr, *p2 = nullptr;
-        std::uint32_t type = 0;
-    };
-    // Self-rescheduling timer: mirrors the calendar loop above.
-    std::function<void(std::uint64_t)> fire = [&](std::uint64_t id) {
-        ++dispatched;
-        state = mixOffset(state + id);
-        const Payload payload{id, state, nullptr, nullptr, 1};
-        q.scheduleAfter(1 + state % 1024,
-                        [&fire, payload] { fire(payload.a); });
-    };
-    for (std::uint64_t i = 0; i < kTimerPopulation; ++i) {
-        state = mixOffset(state);
-        const Payload payload{i, state, nullptr, nullptr, 1};
-        q.schedule(state % 1024, [&fire, payload] { fire(payload.a); });
-    }
-    // runCount (not runUntil windows) so legacy dispatches *exactly*
-    // total_events — the same event set the calendar loop above
-    // processes; anything else skews the events-per-second comparison.
-    const auto start = std::chrono::steady_clock::now();
-    while (dispatched < total_events &&
-           q.runCount(total_events - dispatched) > 0) {
+    if (total_events > 0) {
+        q.drain(~static_cast<SimTime>(0), [&](const EventRecord &rec) {
+            state = mixOffset(state + rec.a);
+            q.postAfter(1 + state % 1024,
+                        EventRecord{.a = rec.a, .type = 1});
+            return ++dispatched == total_events;
+        });
     }
     const auto stop = std::chrono::steady_clock::now();
     EngineRun run;
@@ -127,11 +82,11 @@ runRawLegacy(std::uint64_t total_events)
 /** The largest simulation configuration of the scalability suite:
  *  `scale` independent copies of a two-service, 9-microservice fan-out
  *  workload at high load — the pending-event population grows with
- *  `scale`, which is exactly the regime where a binary heap's O(log n)
- *  pop diverges from the calendar queue's O(1). `minutes` scales the
- *  run length (1 is enough for a stable measurement at scale 8). */
+ *  `scale`, which is the regime where the calendar queue's O(1) pop
+ *  matters. `minutes` scales the run length (1 is enough for a stable
+ *  measurement at scale 8). */
 inline EngineRun
-runSimScenario(EventEngine engine, int minutes, int scale = 8)
+runSimScenario(int minutes, int scale = 8)
 {
     MicroserviceCatalog catalog;
     char name_buf[32];
@@ -186,7 +141,6 @@ runSimScenario(EventEngine engine, int minutes, int scale = 8)
     config.warmupMinutes = 0;
     config.seed = 17;
     Simulation sim(catalog, config);
-    sim.setEventEngine(engine);
     for (DependencyGraph &g : graphs) {
         ServiceWorkload svc;
         svc.id = g.service();

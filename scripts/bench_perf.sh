@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Perf trajectories: rewrites BENCH_event_engine.json (legacy vs
-# calendar engine events/s; see docs/event_engine.md) and
+# Perf trajectories: rewrites BENCH_event_engine.json (absolute
+# events/s of the raw queue and the largest simulation config, with the
+# host CPU model and nproc; see docs/event_engine.md) and
 # BENCH_sharded_scale.json (events/s and resident memory vs shard count
 # on the 500-service / 1200-host catalog; see docs/sharding.md) at the
-# repo root. Run on a quiet machine — each cell is best-of-N, but
-# background load still skews the baselines.
+# repo root. Run on a quiet machine — background load skews the
+# numbers.
 #
 # Usage: scripts/bench_perf.sh [jobs]   (default: 2)
 
@@ -14,22 +15,31 @@ JOBS="${1:-2}"
 
 cmake -B build -S .
 cmake --build build -j"$JOBS" --target bench_event_engine bench_sharded_scale
-# The benchmark itself exits nonzero when the two engines processed
-# different event sets; set -e stops the script right there.
-./build/bench/bench_event_engine BENCH_event_engine.json
+# The benchmark itself exits nonzero when its repetitions did unequal
+# work; set -e stops the script right there. It writes to a scratch
+# path so a failed gate below never clobbers the committed file.
+fresh="build/BENCH_event_engine.json"
+./build/bench/bench_event_engine "$fresh"
 
-# Belt-and-braces fairness gate on the written JSON: a speedup over
-# unequal legacy/calendar event counts must never land in the repo.
-python3 - BENCH_event_engine.json <<'EOF'
+# Equal-work gate on the written JSON: every raw repetition dispatched
+# exactly the requested count, and every simulation repetition
+# dispatched the same count as the committed BENCH_event_engine.json
+# (the simulator's work for this config changes only with a deliberate
+# behaviour change, which must then say so and update the file).
+python3 - "$fresh" BENCH_event_engine.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-for section in ("raw_queue", "sim_largest"):
-    s = doc[section]
-    if s["legacy_events"] != s["calendar_events"]:
-        sys.exit(f"{section}: event counts diverge "
-                 f"(legacy {s['legacy_events']}, "
-                 f"calendar {s['calendar_events']})")
+committed = json.load(open(sys.argv[2]))
+raw = doc["raw_queue"]["rep_events"]
+if any(n != doc["raw_events_requested"] for n in raw):
+    sys.exit(f"raw_queue: dispatched {raw}, "
+             f"requested {doc['raw_events_requested']}")
+sim = doc["sim_largest"]["rep_events"]
+prev = committed["sim_largest"]["rep_events"][0]
+if len(set(sim)) != 1 or sim[0] != prev:
+    sys.exit(f"sim_largest: dispatched {sim}, committed {prev}")
 EOF
+mv "$fresh" BENCH_event_engine.json
 
 # Sharded-scale trajectory. The benchmark itself gates determinism
 # (per-K event counts across worker counts, K=1 == unsharded) and

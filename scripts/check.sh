@@ -11,8 +11,7 @@
 # parallel runner, the event engine, and the sharded coordinator's
 # merge path (concurrent shard controllers reading the merged
 # telemetry view), determinism passes (the golden tables must come out
-# identical with one worker vs the hardware default, under the legacy
-# binary-heap event engine vs the calendar engine, and through the
+# identical with one worker vs the hardware default, and through the
 # K=1 sharded coordinator vs the unsharded path; the tenant-market
 # bench table must come out identical with one runner worker vs the
 # hardware default; a chaos-campaign archive written with the default
@@ -98,9 +97,6 @@ cmake --build build-tsan -j"$JOBS" \
 echo "== runner determinism: golden tables with 1 worker vs default =="
 ERMS_RUNNER_THREADS=1 ./build/tests/erms_tests_golden
 ./build/tests/erms_tests_golden
-
-echo "== event-engine determinism: golden tables on the legacy engine =="
-ERMS_EVENT_ENGINE=legacy ./build/tests/erms_tests_golden
 
 echo "== shard determinism: golden tables through the K=1 coordinator =="
 ERMS_SHARDS=1 ./build/tests/erms_tests_golden

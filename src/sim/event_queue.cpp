@@ -1,8 +1,6 @@
 #include "event_queue.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <utility>
 
 #include "common/error.hpp"
 
@@ -30,30 +28,6 @@ EventQueue::EventQueue(std::size_t bucket_count, SimTime bucket_width)
 }
 
 void
-EventQueue::schedule(SimTime t, Callback cb)
-{
-    std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        slots_[slot] = std::move(cb);
-    } else {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.push_back(std::move(cb));
-    }
-    EventRecord rec;
-    rec.type = kCallbackEvent;
-    rec.a = slot;
-    post(t, rec);
-}
-
-void
-EventQueue::scheduleAfter(SimTime delay, Callback cb)
-{
-    schedule(now_ + delay, std::move(cb));
-}
-
-void
 EventQueue::pourFar()
 {
     std::size_t keep = 0;
@@ -78,51 +52,22 @@ EventQueue::pourFar()
 }
 
 void
-EventQueue::runCallback(const EventRecord &rec)
+EventQueue::requeueScratch(std::size_t from)
 {
-    ERMS_ASSERT(rec.type == kCallbackEvent);
-    const std::uint32_t slot = static_cast<std::uint32_t>(rec.a);
-    ERMS_ASSERT(slot < slots_.size());
-    // Move the callable out and free the slot *before* invoking: the
-    // callback may schedule new callbacks, reuse this very slot, or
-    // even grow the pool — none of which may touch the running
-    // callable.
-    Callback cb = std::move(slots_[slot]);
-    slots_[slot] = nullptr;
-    freeSlots_.push_back(slot);
-    cb();
-}
-
-std::uint64_t
-EventQueue::runUntil(SimTime horizon)
-{
-    std::uint64_t dispatched = 0;
-    EventRecord rec;
-    while (next(horizon, rec)) {
-        ERMS_ASSERT_MSG(rec.type == kCallbackEvent,
-                        "typed event dispatched through runUntil; the "
-                        "owner must drive next() itself");
-        runCallback(rec);
-        ++dispatched;
+    for (std::size_t i = from; i < scratchBatch_.size(); ++i) {
+        const EventRecord &rec = scratchBatch_[i];
+        ++pending_;
+        // The run's records all came from one place: the early heap
+        // (times behind the window) or the current bucket + spill heap.
+        if (rec.time < windowStart_) {
+            early_.push_back(rec);
+            std::push_heap(early_.begin(), early_.end(), Later{});
+        } else {
+            spill_.push_back(rec);
+            std::push_heap(spill_.begin(), spill_.end(), Later{});
+            ++wheelCount_;
+        }
     }
-    return dispatched;
-}
-
-std::uint64_t
-EventQueue::runAll()
-{
-    std::uint64_t dispatched = 0;
-    SimTime t;
-    while (peekTime(t)) {
-        const EventRecord rec = popTop();
-        now_ = t;
-        ERMS_ASSERT_MSG(rec.type == kCallbackEvent,
-                        "typed event dispatched through runAll; the "
-                        "owner must drive next() itself");
-        runCallback(rec);
-        ++dispatched;
-    }
-    return dispatched;
 }
 
 } // namespace erms

@@ -1,8 +1,8 @@
 /**
  * @file
- * Discrete-event engine core: typed, pool-recycled event records in a
- * two-level calendar queue with deterministic (time, insertion-seq)
- * FIFO tie-breaking for simultaneous events.
+ * Discrete-event engine core: typed event records in a two-level
+ * calendar queue with deterministic (time, insertion-seq) FIFO
+ * tie-breaking for simultaneous events.
  *
  * Design (see docs/event_engine.md):
  *  - Events are plain-old-data EventRecord values: a type tag plus two
@@ -10,9 +10,6 @@
  *    bytes into a recycled bucket vector — no per-event heap
  *    allocation, no callable construction. The owner dispatches records
  *    through its own switch (Simulation::dispatchEvent).
- *  - std::function callbacks remain supported for cold paths and tests:
- *    schedule() parks the callable in a recycled slot pool and enqueues
- *    a kCallbackEvent record pointing at the slot.
  *  - Time ordering uses a calendar ("timing wheel") of power-of-two
  *    buckets over a sliding window, with a far list for events beyond
  *    the window and a tiny early heap for events scheduled behind an
@@ -22,18 +19,14 @@
  *    discarded with one clear() when it drains. Events posted into the
  *    already-sorted current bucket go to a small spill heap that
  *    interleaves by (time, seq). Dispatch order is exactly the strict
- *    total order (time, seq) the old binary-heap engine produced — the
+ *    total order (time, seq) a single binary heap would produce — the
  *    determinism contract every golden table pins — but the
  *    steady-state per-event cost is an index bump plus one comparison
  *    instead of a heap sift.
- *  - nextBatch() drains a maximal run of same-timestamp events in one
- *    call so the owner can dispatch the whole run in one switch pass
- *    without re-entering the queue's bookkeeping per event. Because
- *    consumed records stay in the bucket, the common-case batch is a
- *    zero-copy span over the sorted bucket itself.
- *
- * LegacyEventQueue (legacy_event_queue.hpp) is the pre-refactor binary
- * heap kept for differential tests and the perf trajectory.
+ *  - drain() is the only way to consume events. Internally it takes
+ *    maximal runs of ready events as one batch — usually a zero-copy
+ *    span over the sorted bucket itself — so the owner's dispatch runs
+ *    without re-entering the queue's bookkeeping per event.
  */
 
 #ifndef ERMS_SIM_EVENT_QUEUE_HPP
@@ -41,7 +34,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -49,11 +41,8 @@
 
 namespace erms {
 
-/** Record type tag reserved for pooled std::function callbacks. */
-inline constexpr std::uint32_t kCallbackEvent = 0;
-
 /**
- * One scheduled event. POD: owners define their own type tags (> 0) and
+ * One scheduled event. POD: owners define their own type tags and
  * payload conventions; the queue only reads/stamps time and seq.
  *
  * Packed to 48 bytes (b narrowed to 32 bits, which covers every id the
@@ -68,33 +57,11 @@ struct EventRecord
     void *p1 = nullptr;     ///< payload pointer
     void *p2 = nullptr;     ///< payload pointer
     std::uint32_t b = 0;    ///< payload word (ids are 32-bit)
-    std::uint32_t type = kCallbackEvent;
+    std::uint32_t type = 0; ///< owner-defined tag
 };
 
 static_assert(sizeof(EventRecord) == 48, "EventRecord is hot-loop "
                                          "memory traffic; keep it packed");
-
-/**
- * A run of ready events handed out by nextBatch(). Usually a zero-copy
- * window into the queue's sorted active bucket; the span is valid until
- * the next nextBatch()/next() call. Posting new events while a batch is
- * live is safe and does not invalidate it (same-bucket posts are
- * diverted to the spill heap, never appended to the sorted bucket).
- *
- * A batch may cover several timestamps, so the owner must call
- * advanceTo(record.time) before dispatching each record, and after each
- * dispatch ask interleavePending(next) whether a freshly posted event
- * must run before the batch's next record — if so, hand the unconsumed
- * tail back with returnTail() and re-enter nextBatch().
- */
-struct EventBatch
-{
-    const EventRecord *data = nullptr;
-    std::size_t count = 0;
-
-    const EventRecord *begin() const { return data; }
-    const EventRecord *end() const { return data + count; }
-};
 
 /**
  * Two-level calendar queue of EventRecords, dispatching in exactly
@@ -103,8 +70,6 @@ struct EventBatch
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
-
     /**
      * @param bucket_count  number of wheel buckets (power of two).
      * @param bucket_width  time span of one bucket in microseconds
@@ -121,14 +86,6 @@ class EventQueue
     /** Schedule a typed record delay microseconds from now. */
     void postAfter(SimTime delay, EventRecord rec);
 
-    /** Schedule a callback at absolute simulated time t (>= now). The
-     *  callable is parked in a recycled slot; the event itself is a
-     *  kCallbackEvent record. */
-    void schedule(SimTime t, Callback cb);
-
-    /** Schedule a callback delay microseconds from now. */
-    void scheduleAfter(SimTime delay, Callback cb);
-
     /** Current simulated time (time of the last dispatched event). */
     SimTime now() const { return now_; }
 
@@ -136,89 +93,45 @@ class EventQueue
     std::size_t pending() const { return pending_; }
 
     /**
-     * Pop the next event if its time is <= horizon (inclusive — an
-     * event posted exactly at the horizon during dispatch is still
-     * eligible). On success advances now() to the event time and
-     * returns true. Otherwise leaves the event queued, advances now()
-     * to the horizon, and returns false.
-     */
-    bool next(SimTime horizon, EventRecord &out);
-
-    /**
-     * Take a run of ready events with times <= horizon (inclusive) as
-     * a span in exact (time, seq) order. In the common case the span
-     * is a zero-copy window over the sorted active bucket's whole
-     * unconsumed suffix (possibly many timestamps); with a live spill
-     * heap or early-heap events the run is the single earliest
-     * timestamp, merged into an internal scratch buffer. Either way
-     * the span stays valid until the next nextBatch()/next() call —
-     * posting during dispatch cannot touch it. The owner drives
-     * per-record time with advanceTo() and must honour
-     * interleavePending()/returnTail() between records (see
-     * EventBatch). On success advances now() to the first record's
-     * time and returns true; otherwise leaves events queued, advances
-     * now() to the horizon, and returns false with `out` empty.
-     */
-    bool nextBatch(SimTime horizon, EventBatch &out);
-
-    /** Advance now() to t (the next batch record's time). Must be
-     *  monotone; only valid for times handed out by nextBatch(). */
-    void advanceTo(SimTime t) { now_ = t; }
-
-    /**
-     * After dispatching one batch record: must a freshly posted event
-     * run before `next` (the batch's next record)? Only the spill heap
-     * can hold such an event — dispatch-time posts have t >= now(), so
-     * they cannot reach the early heap or an earlier bucket — and it
-     * interleaves only with a strictly smaller time (an equal-time
-     * post carries a higher seq and runs after the whole batch run of
-     * that timestamp).
-     */
-    bool
-    interleavePending(const EventRecord &next) const
-    {
-        return !spill_.empty() && spill_.front().time < next.time;
-    }
-
-    /**
-     * Hand the unconsumed tail of the current zero-copy batch back to
-     * the queue (records stay in place in the sorted bucket; this just
-     * rewinds the consumption bookkeeping). Only meaningful after
-     * interleavePending() returned true; scratch-merged batches never
-     * trigger it (they are single-timestamp).
-     */
-    void
-    returnTail(std::size_t count)
-    {
-        activeHead_ -= count;
-        pending_ += count;
-        wheelCount_ += count;
-    }
-
-    /** Invoke and recycle a kCallbackEvent record returned by next().
-     *  The slot is released before the callable runs, so a callback may
-     *  schedule further callbacks (and reuse its own slot) safely. */
-    void runCallback(const EventRecord &rec);
-
-    /**
-     * Dispatch events in order until the queue drains or the next event
-     * is later than horizon. Events scheduled while running are
-     * dispatched too if they fall within the horizon (inclusive). Only
-     * valid for queues holding callback events; typed records trip an
-     * assertion (their owner must drive next() itself). On return
-     * now() == max(now, horizon).
+     * Dispatch events in exact (time, seq) order until no event at or
+     * before horizon (inclusive) remains, or dispatch asks to pause.
+     * now() equals each record's time while dispatch(record) runs.
+     * dispatch may post freely; what it posts at or before horizon
+     * runs in the same call.
+     *
+     * dispatch(const EventRecord &) returns true to pause: drain
+     * returns right after that record, with now() at its time and
+     * every later event still queued, so the next drain() resumes at
+     * the exact next record — the concatenated order is identical to
+     * an uninterrupted drain. Without a pause, on return
+     * now() == max(now(), horizon).
      * @return number of events dispatched.
      */
-    std::uint64_t runUntil(SimTime horizon);
-
-    /** Dispatch everything (no horizon; now() ends at the last event). */
-    std::uint64_t runAll();
-
-    /** Callback slots ever allocated (recycle observability: stays flat
-     *  when schedule/dispatch cycles reuse slots). */
-    std::size_t callbackPoolSize() const { return slots_.size(); }
+    template <class F>
+    std::uint64_t drain(SimTime horizon, F &&dispatch);
 
   private:
+    /**
+     * A run of ready events handed out by nextBatch(). Usually a
+     * zero-copy window into the sorted active bucket; the span is valid
+     * until the next nextBatch() call. Posting new events while a batch
+     * is live is safe and does not invalidate it (same-bucket posts are
+     * diverted to the spill heap, never appended to the sorted bucket).
+     *
+     * A batch may cover several timestamps, so drain() calls
+     * advanceTo(record.time) before dispatching each record, and after
+     * each dispatch asks interleavePending(next) whether a freshly
+     * posted event must run before the batch's next record — if so, or
+     * if dispatch paused, it hands the unconsumed tail back with
+     * returnTail() and re-enters nextBatch() (on the next drain() call,
+     * after a pause).
+     */
+    struct EventBatch
+    {
+        const EventRecord *data = nullptr;
+        std::size_t count = 0;
+    };
+
     struct Later
     {
         bool
@@ -247,8 +160,65 @@ class EventQueue
      *  heap's front). */
     bool peekTime(SimTime &t);
 
-    /** Pop the event found by the immediately preceding peekTime(). */
-    EventRecord popTop();
+    /**
+     * Take a run of ready events with times <= horizon (inclusive) as
+     * a span in exact (time, seq) order. In the common case the span
+     * is a zero-copy window over the sorted active bucket's whole
+     * unconsumed suffix (possibly many timestamps); with a live spill
+     * heap or early-heap events the run is the single earliest
+     * timestamp, merged into an internal scratch buffer. Either way
+     * the span stays valid until the next nextBatch() call — posting
+     * during dispatch cannot touch it. On success advances now() to
+     * the first record's time and returns true; otherwise leaves
+     * events queued, advances now() to the horizon, and returns false
+     * with `out` empty.
+     */
+    bool nextBatch(SimTime horizon, EventBatch &out);
+
+    /** Advance now() to t (the next batch record's time). Must be
+     *  monotone; only valid for times handed out by nextBatch(). */
+    void advanceTo(SimTime t) { now_ = t; }
+
+    /**
+     * After dispatching one batch record: must a freshly posted event
+     * run before `next` (the batch's next record)? Only the spill heap
+     * can hold such an event — dispatch-time posts have t >= now(), so
+     * they cannot reach the early heap or an earlier bucket — and it
+     * interleaves only with a strictly smaller time (an equal-time
+     * post carries a higher seq and runs after the whole batch run of
+     * that timestamp).
+     */
+    bool
+    interleavePending(const EventRecord &next) const
+    {
+        return !spill_.empty() && spill_.front().time < next.time;
+    }
+
+    /**
+     * Hand batch records [consumed, count) back to the queue. For a
+     * zero-copy batch the records still sit in place in the sorted
+     * bucket, so this just rewinds the consumption bookkeeping. A
+     * scratch batch (one timestamp, merged from the heaps) can only be
+     * cut short by a pause; its tail is re-queued by value.
+     */
+    void
+    returnTail(const EventBatch &batch, std::size_t consumed)
+    {
+        const std::size_t count = batch.count - consumed;
+        if (batch.data == scratchBatch_.data()) {
+            requeueScratch(consumed);
+            return;
+        }
+        activeHead_ -= count;
+        pending_ += count;
+        wheelCount_ += count;
+    }
+
+    /** Re-queue scratchBatch_[from..] with their original (time, seq):
+     *  early-heap records go back to the early heap, wheel records to
+     *  the spill heap, which merges by (time, seq) with the current
+     *  bucket — so the next nextBatch() resumes at the exact record. */
+    void requeueScratch(std::size_t from);
 
     /** Move far-list events that now fall inside the window into their
      *  buckets; recompute farMin_. */
@@ -276,10 +246,12 @@ class EventQueue
     std::vector<EventRecord> scratchBatch_;
 
     /** Events posted into the current bucket after it was sorted; a
-     *  min-heap on (time, seq) interleaved with the sorted bucket. Every
-     *  spill entry carries a higher seq than every sorted entry, so
-     *  equal-time ties always drain the sorted tail first — exactly
-     *  the order a single heap would produce. */
+     *  min-heap on (time, seq) interleaved with the sorted bucket.
+     *  Posts made while a zero-copy batch is live carry a higher seq
+     *  than every record of the batch, so equal-time ties always drain
+     *  the batch first — exactly the order a single heap would
+     *  produce. (A paused scratch batch's re-queued tail also lands
+     *  here; the merge compares full (time, seq), so order holds.) */
     std::vector<EventRecord> spill_;
 
     // overflow levels ---------------------------------------------------
@@ -287,21 +259,17 @@ class EventQueue
     SimTime farMin_ = 0;
     std::vector<EventRecord> early_; ///< heap; time < windowStart_
 
-    // callback slot pool ------------------------------------------------
-    std::vector<Callback> slots_;
-    std::vector<std::uint32_t> freeSlots_;
-
     std::size_t pending_ = 0;
     SimTime now_ = 0;
     std::uint64_t next_seq_ = 0;
 };
 
 // ---------------------------------------------------------------------
-// Hot path, defined inline: post/peek/pop run once (or more) per
-// simulated event, and the simulator's drain loop lives in another
-// translation unit — without these in the header every event pays
-// several opaque call boundaries. Cold paths (construction, callback
-// slots, pourFar) stay in event_queue.cpp.
+// Hot path, defined inline: post/peek/batch run once (or more) per
+// simulated event, and drain() is instantiated in the owner's
+// translation unit with the owner's dispatch inlined — without these
+// in the header every event pays several opaque call boundaries. Cold
+// paths (construction, pourFar) stay in event_queue.cpp.
 // ---------------------------------------------------------------------
 
 inline void
@@ -420,46 +388,6 @@ EventQueue::peekTime(SimTime &t)
     }
 }
 
-inline EventRecord
-EventQueue::popTop()
-{
-    --pending_;
-    if (!early_.empty()) {
-        std::pop_heap(early_.begin(), early_.end(), Later{});
-        const EventRecord rec = early_.back();
-        early_.pop_back();
-        return rec;
-    }
-    std::vector<EventRecord> &bucket = buckets_[cursor_];
-    --wheelCount_;
-    // Equal-time ties take the sorted bucket first: every spill entry
-    // was posted after the sort, so its seq is higher than any sorted
-    // entry's — exactly the single-heap order.
-    if (!spill_.empty() &&
-        (activeHead_ == bucket.size() ||
-         Later{}(bucket[activeHead_], spill_.front()))) {
-        std::pop_heap(spill_.begin(), spill_.end(), Later{});
-        const EventRecord rec = spill_.back();
-        spill_.pop_back();
-        return rec;
-    }
-    return bucket[activeHead_++];
-}
-
-inline bool
-EventQueue::next(SimTime horizon, EventRecord &out)
-{
-    SimTime t;
-    if (!peekTime(t) || t > horizon) {
-        if (now_ < horizon)
-            now_ = horizon;
-        return false;
-    }
-    out = popTop();
-    now_ = t;
-    return true;
-}
-
 inline bool
 EventQueue::nextBatch(SimTime horizon, EventBatch &out)
 {
@@ -536,6 +464,44 @@ EventQueue::nextBatch(SimTime horizon, EventBatch &out)
     out.data = scratchBatch_.data();
     out.count = scratchBatch_.size();
     return true;
+}
+
+template <class F>
+std::uint64_t
+EventQueue::drain(SimTime horizon, F &&dispatch)
+{
+    // Drain bucket-sized runs in one pass: the per-event cost inside a
+    // run is the dispatch itself plus one clock store and one spill
+    // probe. Dispatch may post freely — same-bucket posts divert to the
+    // spill heap, so the span stays valid; when a spilled event must
+    // run before the span's next record, the unconsumed tail goes back
+    // to the queue and the loop re-enters. The resulting order is
+    // exactly the (time, seq) order the goldens pin.
+    std::uint64_t dispatched = 0;
+    EventBatch batch;
+    while (nextBatch(horizon, batch)) {
+        std::size_t consumed = 0;
+        while (consumed < batch.count) {
+            const EventRecord &event = batch.data[consumed];
+            advanceTo(event.time);
+            const bool pause = dispatch(event);
+            ++consumed;
+            if (pause) {
+                // Hand the untouched tail back so the next drain()
+                // re-enters at the exact next record.
+                if (consumed < batch.count)
+                    returnTail(batch, consumed);
+                return dispatched + consumed;
+            }
+            if (consumed < batch.count &&
+                interleavePending(batch.data[consumed])) {
+                returnTail(batch, consumed);
+                break;
+            }
+        }
+        dispatched += consumed;
+    }
+    return dispatched;
 }
 
 } // namespace erms

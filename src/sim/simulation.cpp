@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/error.hpp"
-#include "sim/legacy_event_queue.hpp"
 #include "telemetry/monitor.hpp"
 
 namespace erms {
@@ -17,8 +14,7 @@ constexpr SimTime kMinute = 60ULL * 1000ULL * 1000ULL; // 60 s in usec
 
 /**
  * Typed event vocabulary of the simulator, dispatched through
- * Simulation::dispatchEvent. Payload conventions are noted per type;
- * kCallbackEvent (0) stays reserved for the queue's own callback slots.
+ * Simulation::dispatchEvent. Payload conventions are noted per type.
  */
 enum SimEvent : std::uint32_t
 {
@@ -328,50 +324,9 @@ Simulation::Simulation(const MicroserviceCatalog &catalog, SimConfig config)
         host.memCapacity = config.hostMemMb;
         refreshMemUtil(host);
     }
-    if (const char *env = std::getenv("ERMS_EVENT_ENGINE")) {
-        setEventEngine(std::strcmp(env, "legacy") == 0
-                           ? EventEngine::LegacyHeap
-                           : EventEngine::Calendar);
-    }
 }
 
 Simulation::~Simulation() = default;
-
-SimTime
-Simulation::now() const
-{
-    return engine_ == EventEngine::LegacyHeap ? legacy_->now()
-                                              : events_.now();
-}
-
-void
-Simulation::setEventEngine(EventEngine engine)
-{
-    ERMS_ASSERT_MSG(!ran_, "setEventEngine must precede run()");
-    engine_ = engine;
-    if (engine == EventEngine::LegacyHeap && legacy_ == nullptr)
-        legacy_ = std::make_unique<LegacyEventQueue>();
-}
-
-void
-Simulation::post(SimTime t, const EventRecord &event)
-{
-    if (engine_ == EventEngine::LegacyHeap) {
-        // Faithful pre-refactor cost model: a heap-allocating closure
-        // per event pushed through the binary heap. Dispatch order is
-        // identical (same (time, seq) assignment), so a legacy run is
-        // byte-identical to a calendar run.
-        legacy_->schedule(t, [this, event] { dispatchEvent(event); });
-        return;
-    }
-    events_.post(t, event);
-}
-
-void
-Simulation::postAfter(SimTime delay, const EventRecord &event)
-{
-    post(now() + delay, event);
-}
 
 void
 Simulation::setBackgroundLoad(HostId host, double cpu_util, double mem_util)
@@ -1973,10 +1928,7 @@ Simulation::dispatchEvent(const EventRecord &event)
         break;
       }
       default:
-        // kCallbackEvent or a foreign record: hand back to the queue
-        // (only reachable on the calendar engine; the legacy engine
-        // wraps every typed record in its own closure).
-        events_.runCallback(event);
+        ERMS_ASSERT_MSG(false, "unknown event record type");
         break;
     }
 }
@@ -2015,59 +1967,16 @@ Simulation::beginRun()
 }
 
 void
-Simulation::drainCalendar()
-{
-    // Drain bucket-sized runs in one pass: the queue hands back a span
-    // (usually zero-copy into its sorted bucket, covering many
-    // timestamps), so the per-event cost inside a run is the dispatch
-    // switch plus one clock store and one spill probe. Dispatch may
-    // post freely — same-bucket posts divert to the spill heap, so the
-    // span stays valid; when a spilled event must run before the
-    // span's next record, the unconsumed tail goes back to the queue
-    // and the loop re-enters. The resulting order is exactly what
-    // one-at-a-time next() would produce — the determinism contract
-    // the goldens pin.
-    std::uint64_t dispatched = 0;
-    EventBatch batch;
-    while (events_.nextBatch(runHorizon_, batch)) {
-        std::size_t consumed = 0;
-        while (consumed < batch.count) {
-            const EventRecord &event = batch.data[consumed];
-            events_.advanceTo(event.time);
-            dispatchEvent(event);
-            ++consumed;
-            if (pauseRequested_) {
-                // A minute boundary paused the run: hand the untouched
-                // tail back so resume re-enters at the exact next
-                // record — identical order to an uninterrupted drain.
-                if (consumed < batch.count)
-                    events_.returnTail(batch.count - consumed);
-                metrics_.eventsDispatched += dispatched + consumed;
-                return;
-            }
-            if (consumed < batch.count &&
-                events_.interleavePending(batch.data[consumed])) {
-                events_.returnTail(batch.count - consumed);
-                break;
-            }
-        }
-        dispatched += consumed;
-    }
-    metrics_.eventsDispatched += dispatched;
-}
-
-void
 Simulation::run()
 {
     ERMS_ASSERT_MSG(!coordinatedPause_,
                     "coordinated simulations step via advanceToMinuteBoundary");
     beginRun();
-
-    if (engine_ == EventEngine::LegacyHeap) {
-        metrics_.eventsDispatched = legacy_->runUntil(runHorizon_);
-        return;
-    }
-    drainCalendar();
+    metrics_.eventsDispatched +=
+        events_.drain(runHorizon_, [this](const EventRecord &event) {
+            dispatchEvent(event);
+            return false; // uncoordinated runs never pause
+        });
 }
 
 int
@@ -2089,12 +1998,13 @@ Simulation::advanceToMinuteBoundary()
         postNextMinuteBoundary();
     }
 
-    if (engine_ == EventEngine::LegacyHeap) {
-        metrics_.eventsDispatched +=
-            legacy_->runUntil(runHorizon_, &pauseRequested_);
-    } else {
-        drainCalendar();
-    }
+    // A minute boundary sets pauseRequested_ in coordinated mode, which
+    // stops the drain right after that event.
+    metrics_.eventsDispatched +=
+        events_.drain(runHorizon_, [this](const EventRecord &event) {
+            dispatchEvent(event);
+            return pauseRequested_;
+        });
     return pausedMinute_;
 }
 

@@ -54,22 +54,6 @@ namespace telemetry {
 class SimMonitor;
 }
 
-class LegacyEventQueue;
-
-/**
- * Which event engine executes a run. Both dispatch the identical
- * (time, insertion-seq) order, so a run is byte-identical under either;
- * Calendar is the allocation-free fast path, LegacyHeap the pre-refactor
- * binary heap kept for differential tests and the perf trajectory.
- * Selectable per run via setEventEngine() or the ERMS_EVENT_ENGINE
- * environment variable ("legacy" / "calendar").
- */
-enum class EventEngine
-{
-    Calendar,
-    LegacyHeap,
-};
-
 /** How arriving calls pick a container among a deployment's replicas. */
 enum class DispatchPolicy
 {
@@ -215,12 +199,6 @@ class Simulation
 
     void setSchedulingDelta(double delta);
 
-    /** Select the event engine (before run()). Defaults to Calendar, or
-     *  to the ERMS_EVENT_ENGINE environment variable when set. */
-    void setEventEngine(EventEngine engine);
-
-    EventEngine eventEngine() const { return engine_; }
-
     // --- fault injection and resilience --------------------------------
 
     /**
@@ -306,7 +284,7 @@ class Simulation
     // --- observation -----------------------------------------------------
 
     const SimMetrics &metrics() const { return metrics_; }
-    SimTime now() const;
+    SimTime now() const { return events_.now(); }
 
     /** Read-only load views for placement policies / provisioning. */
     std::vector<HostView> hostViews() const;
@@ -359,9 +337,12 @@ class Simulation
     // event engine internals
     /** Dispatch one typed event record (the engine-hot switch). */
     void dispatchEvent(const EventRecord &event);
-    /** Schedule a typed record on whichever engine runs this sim. */
-    void post(SimTime t, const EventRecord &event);
-    void postAfter(SimTime delay, const EventRecord &event);
+    void post(SimTime t, const EventRecord &event) { events_.post(t, event); }
+    void
+    postAfter(SimTime delay, const EventRecord &event)
+    {
+        events_.postAfter(delay, event);
+    }
 
     // deployment internals
     ContainerState *addContainer(MicroserviceId ms,
@@ -438,8 +419,6 @@ class Simulation
     void onMinuteBoundary();
     /** Post the boundary event for the next minute (if any remain). */
     void postNextMinuteBoundary();
-    /** Drain the calendar engine until pause or horizon (see run()). */
-    void drainCalendar();
     void noteBusyChange(HostState &host, double delta_cores);
     double hostCpuUtil(const HostState &host) const;
     double hostMemUtil(const HostState &host) const;
@@ -448,9 +427,6 @@ class Simulation
     const MicroserviceCatalog &catalog_;
     SimConfig config_;
     EventQueue events_;
-    /** Present only when engine_ == LegacyHeap. */
-    std::unique_ptr<LegacyEventQueue> legacy_;
-    EventEngine engine_ = EventEngine::Calendar;
     Rng rng_;
     FaultConfig faultConfig_;
     ResilienceConfig resilience_;
@@ -520,8 +496,8 @@ class Simulation
 
     // coordinated stepping state (see setCoordinatedPause())
     bool coordinatedPause_ = false;
-    /** Set by onMinuteBoundary() in coordinated mode; the drain loops
-     *  check it after each dispatched event and unwind. */
+    /** Set by onMinuteBoundary() in coordinated mode; the dispatch
+     *  passed to EventQueue::drain returns it to pause the drain. */
     bool pauseRequested_ = false;
     int pausedMinute_ = -1;
     SimTime runHorizon_ = 0;

@@ -6,15 +6,13 @@
  * per-series corruption semantics (only the targeted service's counter
  * series lie), the FaultyTelemetryView cache-idempotence regression,
  * campaign run determinism, archive -> replay byte-identity, and the
- * clean-stream equivalence of guarded baseline controllers on both
- * event engines.
+ * clean-stream equivalence of guarded baseline controllers.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <string>
@@ -512,8 +510,7 @@ runBaselineDynamic(const MicroserviceCatalog &catalog,
     return result;
 }
 
-void
-expectBaselineEquivalence(const char *engine)
+TEST(CampaignBaselineTransparency, GuardedMatchesNaiveOnCalendarEngine)
 {
     MicroserviceCatalog catalog;
     const Application app = makeMotivationShared(catalog, 0);
@@ -523,28 +520,15 @@ expectBaselineEquivalence(const char *engine)
         const BaselineRunResult guarded =
             runBaselineDynamic(catalog, app, name, true, 4242);
         EXPECT_EQ(naive.requestsCompleted, guarded.requestsCompleted)
-            << name << " on " << engine;
+            << name;
         EXPECT_EQ(naive.containerTrajectory, guarded.containerTrajectory)
-            << name << " on " << engine;
+            << name;
         ASSERT_EQ(naive.latencies.size(), guarded.latencies.size())
-            << name << " on " << engine;
+            << name;
         for (std::size_t i = 0; i < naive.latencies.size(); ++i)
             ASSERT_TRUE(sameBits(naive.latencies[i], guarded.latencies[i]))
-                << name << " on " << engine << " sample " << i;
+                << name << " sample " << i;
     }
-}
-
-TEST(CampaignBaselineTransparency, GuardedMatchesNaiveOnCalendarEngine)
-{
-    unsetenv("ERMS_EVENT_ENGINE");
-    expectBaselineEquivalence("calendar");
-}
-
-TEST(CampaignBaselineTransparency, GuardedMatchesNaiveOnLegacyEngine)
-{
-    setenv("ERMS_EVENT_ENGINE", "legacy", 1);
-    expectBaselineEquivalence("legacy");
-    unsetenv("ERMS_EVENT_ENGINE");
 }
 
 } // namespace

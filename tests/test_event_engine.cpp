@@ -1,14 +1,14 @@
 /**
  * @file
- * Property/fuzz tests for the event engine. Random schedule/run
- * interleavings — same-timestamp bursts, cascades scheduled during
- * dispatch, horizon-segmented draining — are checked against a naive
- * reference model (linear scan for the (time, seq) minimum), on both
- * the calendar engine and the legacy binary heap and across degenerate
- * bucket geometries. Also covers callback-pool slot reuse while the
- * recycled callback is still executing (an AddressSanitizer target) and
- * cross-thread isolation of independent queues (a ThreadSanitizer
- * target, driven through ParallelRunner).
+ * Property/fuzz tests for the event engine. Random post/drain
+ * interleavings — same-timestamp bursts, cascades posted during
+ * dispatch, horizon-segmented draining, and drains paused at seeded
+ * random records and resumed — are checked against a naive reference
+ * model (linear scan for the (time, seq) minimum) across the
+ * production and degenerate bucket geometries. Every run goes through
+ * EventQueue::drain(), the exact protocol the simulator uses. Also
+ * covers cross-thread isolation of independent queues (a
+ * ThreadSanitizer target, driven through ParallelRunner).
  */
 
 #include <gtest/gtest.h>
@@ -17,13 +17,11 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "runner/parallel_runner.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/legacy_event_queue.hpp"
 
 namespace erms {
 namespace {
@@ -92,9 +90,12 @@ class ReferenceModel
         pending_.push_back(RefEvent{t, seq_++, id});
     }
 
-    /** Dispatch everything with time <= horizon; record ids. */
-    void
-    drainUntil(SimTime horizon)
+    /** Dispatch everything with time <= horizon; record ids. Stops
+     *  right after an event whose id satisfies `pause` and returns
+     *  true; returns false once nothing <= horizon remains. */
+    bool
+    drainUntil(SimTime horizon,
+               const std::function<bool(std::uint64_t)> &pause = {})
     {
         for (;;) {
             std::size_t best = pending_.size();
@@ -108,16 +109,22 @@ class ReferenceModel
                     best = i;
             }
             if (best == pending_.size())
-                return;
+                return false;
             const RefEvent cur = pending_[best];
             pending_.erase(pending_.begin() +
                            static_cast<std::ptrdiff_t>(best));
+            now_ = cur.time;
             order_.push_back(cur.id);
             forEachChild(cur.id, [&](SimTime d, std::uint64_t cid) {
                 pending_.push_back(RefEvent{cur.time + d, seq_++, cid});
             });
+            if (pause && pause(cur.id))
+                return true;
         }
     }
+
+    /** Time of the last dispatched event. */
+    SimTime now() const { return now_; }
 
     std::size_t pending() const { return pending_.size(); }
     const std::vector<std::uint64_t> &order() const { return order_; }
@@ -126,34 +133,45 @@ class ReferenceModel
     std::vector<RefEvent> pending_;
     std::vector<std::uint64_t> order_;
     std::uint64_t seq_ = 0;
+    SimTime now_ = 0;
 };
 
-/** Drives the same cascade through a real engine via the callback API. */
-template <typename Queue>
+/** Drives the same cascade through EventQueue::drain(): a record's
+ *  payload word is the event id, and dispatch posts its children. */
 class EngineDriver
 {
   public:
-    explicit EngineDriver(Queue &q) : q_(q) {}
+    explicit EngineDriver(EventQueue &q) : q_(q) {}
 
     void
     seed(SimTime t, std::uint64_t id)
     {
-        q_.schedule(t, [this, id] { fire(id); });
+        q_.post(t, EventRecord{.a = id, .type = 1});
+    }
+
+    /** One drain() call that pauses after any event whose id
+     *  satisfies `pause`; returns whether it paused. */
+    bool
+    drain(SimTime horizon,
+          const std::function<bool(std::uint64_t)> &pause = {})
+    {
+        bool paused = false;
+        q_.drain(horizon, [&](const EventRecord &rec) {
+            EXPECT_EQ(q_.now(), rec.time);
+            order_.push_back(rec.a);
+            forEachChild(rec.a, [&](SimTime d, std::uint64_t cid) {
+                q_.postAfter(d, EventRecord{.a = cid, .type = 1});
+            });
+            paused = pause && pause(rec.a);
+            return paused;
+        });
+        return paused;
     }
 
     const std::vector<std::uint64_t> &order() const { return order_; }
 
   private:
-    void
-    fire(std::uint64_t id)
-    {
-        order_.push_back(id);
-        forEachChild(id, [&](SimTime d, std::uint64_t cid) {
-            q_.scheduleAfter(d, [this, cid] { fire(cid); });
-        });
-    }
-
-    Queue &q_;
+    EventQueue &q_;
     std::vector<std::uint64_t> order_;
 };
 
@@ -176,15 +194,27 @@ makeBatch(std::uint64_t seed, std::size_t count, SimTime base,
     return batch;
 }
 
-template <typename Queue>
+constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
+
 std::vector<std::uint64_t>
-engineFullDrain(Queue &q, std::uint64_t seed)
+engineFullDrain(EventQueue &q, std::uint64_t seed)
 {
-    EngineDriver<Queue> driver(q);
+    EngineDriver driver(q);
     for (const auto &[t, id] : makeBatch(seed, 300, 0, 256))
         driver.seed(t, id);
-    q.runAll();
+    driver.drain(kForever);
+    EXPECT_TRUE(q.empty());
     return driver.order();
+}
+
+/** Seeded pause points: roughly one event in `period` pauses the
+ *  drain, chosen by id so both sides agree without shared state. */
+std::function<bool(std::uint64_t)>
+pausePoints(std::uint64_t salt, std::uint64_t period)
+{
+    return [salt, period](std::uint64_t id) {
+        return mix(id ^ salt) % period == 0;
+    };
 }
 
 std::vector<std::uint64_t>
@@ -193,7 +223,7 @@ referenceFullDrain(std::uint64_t seed)
     ReferenceModel ref;
     for (const auto &[t, id] : makeBatch(seed, 300, 0, 256))
         ref.seed(t, id);
-    ref.drainUntil(std::numeric_limits<SimTime>::max());
+    ref.drainUntil(kForever);
     EXPECT_EQ(ref.pending(), 0u);
     return ref.order();
 }
@@ -203,16 +233,8 @@ TEST(EventEngineFuzz, FullDrainMatchesReference)
     for (std::uint64_t seed = 0; seed < 10; ++seed) {
         const std::vector<std::uint64_t> expected =
             referenceFullDrain(seed);
-        {
-            EventQueue q; // production geometry
-            EXPECT_EQ(engineFullDrain(q, seed), expected)
-                << "seed " << seed << " (default geometry)";
-        }
-        {
-            LegacyEventQueue q;
-            EXPECT_EQ(engineFullDrain(q, seed), expected)
-                << "seed " << seed << " (legacy heap)";
-        }
+        EventQueue q; // production geometry
+        EXPECT_EQ(engineFullDrain(q, seed), expected) << "seed " << seed;
     }
 }
 
@@ -236,13 +258,13 @@ TEST(EventEngineFuzz, TinyBucketGeometriesMatchReference)
 
 TEST(EventEngineFuzz, HorizonSegmentedDrainMatchesReference)
 {
-    // Interleave runUntil() segments with fresh batches scheduled from
-    // the advanced clock — exercising schedule-at-now, schedule-at-
-    // horizon and schedule-behind-the-advanced-window paths.
+    // Interleave drain() segments with fresh batches posted from the
+    // advanced clock — exercising post-at-now, post-at-horizon and
+    // post-behind-the-advanced-window paths.
     for (std::uint64_t seed = 0; seed < 10; ++seed) {
         ReferenceModel ref;
         EventQueue q(4, 2); // small span: the window rotates every 8 ticks
-        EngineDriver<EventQueue> driver(q);
+        EngineDriver driver(q);
 
         SimTime horizon = 0;
         for (int segment = 0; segment < 8; ++segment) {
@@ -255,45 +277,130 @@ TEST(EventEngineFuzz, HorizonSegmentedDrainMatchesReference)
             }
             horizon += 1 + mix(sseed) % 150;
             ref.drainUntil(horizon);
-            q.runUntil(horizon);
+            driver.drain(horizon);
             ASSERT_EQ(driver.order(), ref.order())
                 << "seed " << seed << " segment " << segment;
             ASSERT_EQ(q.pending(), ref.pending());
             ASSERT_EQ(q.now(), horizon);
         }
-        ref.drainUntil(std::numeric_limits<SimTime>::max());
-        q.runAll();
+        ref.drainUntil(kForever);
+        driver.drain(kForever);
         EXPECT_EQ(driver.order(), ref.order()) << "seed " << seed;
         EXPECT_EQ(q.pending(), 0u);
+    }
+}
+
+/** The geometries the pause fuzz runs on: production plus tiny
+ *  wheels where rotations, far-list pours, spill merges and the early
+ *  heap are constant. */
+const std::pair<std::size_t, SimTime> kPauseGeometries[] = {
+    {2048, 32}, {1, 1}, {4, 2}, {8, 16}};
+
+TEST(EventEngineFuzz, PausedDrainMatchesUninterruptedAndReference)
+{
+    // dispatch returns true at seeded random records; the caller
+    // re-enters drain() each time, as the coordinated simulation does
+    // at every minute boundary. Pauses land mid-batch, so the
+    // unconsumed tail must go back exactly: the concatenated order
+    // must equal an uninterrupted drain and the reference model.
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+        const std::vector<std::uint64_t> expected =
+            referenceFullDrain(seed);
+        for (const auto &[buckets, width] : kPauseGeometries) {
+            EventQueue whole(buckets, width);
+            ASSERT_EQ(engineFullDrain(whole, seed), expected)
+                << "seed " << seed << " buckets=" << buckets
+                << " width=" << width;
+
+            EventQueue q(buckets, width);
+            EngineDriver driver(q);
+            for (const auto &[t, id] : makeBatch(seed, 300, 0, 256))
+                driver.seed(t, id);
+            const auto pause = pausePoints(mix(seed + 77), 5);
+            int pauses = 0;
+            while (driver.drain(kForever, pause))
+                ++pauses;
+            EXPECT_GT(pauses, 10) << "seed " << seed;
+            EXPECT_TRUE(q.empty());
+            EXPECT_EQ(driver.order(), expected)
+                << "seed " << seed << " buckets=" << buckets
+                << " width=" << width;
+        }
+    }
+}
+
+TEST(EventEngineFuzz, PausedSegmentedDrainWithPostsMatchesReference)
+{
+    // The coordinator's view: horizon-segmented drains that pause at
+    // seeded records, and at each pause post a fresh event at the
+    // paused clock before resuming (what a minute callback does). The
+    // reference model pauses at the same records and posts the same
+    // events, so the two orders must agree exactly.
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+        for (const auto &[buckets, width] : kPauseGeometries) {
+            ReferenceModel ref;
+            EventQueue q(buckets, width);
+            EngineDriver driver(q);
+            const auto pause = pausePoints(mix(seed + 91), 6);
+
+            SimTime horizon = 0;
+            for (int segment = 0; segment < 6; ++segment) {
+                const std::uint64_t sseed = mix(seed * 131 + segment);
+                for (const auto &[t, id] :
+                     makeBatch(sseed, 30, q.now(), 200)) {
+                    ref.seed(t, id);
+                    driver.seed(t, id);
+                }
+                horizon += 1 + mix(sseed) % 150;
+                for (std::uint64_t k = 0;; ++k) {
+                    const bool paused = driver.drain(horizon, pause);
+                    ASSERT_EQ(paused, ref.drainUntil(horizon, pause));
+                    ASSERT_EQ(driver.order(), ref.order())
+                        << "seed " << seed << " segment " << segment;
+                    if (!paused)
+                        break;
+                    ASSERT_EQ(q.now(), ref.now());
+                    const std::uint64_t id =
+                        mix(sseed ^ (k + 1)) & ((1ull << kGenShift) - 1);
+                    const SimTime at = q.now() + mix(id) % 3;
+                    ref.seed(at, id);
+                    driver.seed(at, id);
+                }
+                ASSERT_EQ(q.pending(), ref.pending());
+                ASSERT_EQ(q.now(), horizon);
+            }
+        }
     }
 }
 
 TEST(EventEngineFuzz, LongSameTimestampBurstIsFifoAcrossEngines)
 {
     // A burst far larger than any bucket, with neighbours on both
-    // sides; insertion order must be preserved exactly.
-    auto run = [](auto &q) {
-        std::vector<int> order;
-        q.schedule(99, [&] { order.push_back(-1); });
-        for (int i = 0; i < 1000; ++i)
-            q.schedule(100, [&, i] { order.push_back(i); });
-        q.schedule(101, [&] { order.push_back(-2); });
-        q.runAll();
-        return order;
-    };
-    std::vector<int> expected;
-    expected.push_back(-1);
-    for (int i = 0; i < 1000; ++i)
+    // sides; insertion order must be preserved exactly, whatever the
+    // bucket geometry.
+    std::vector<std::uint64_t> expected;
+    expected.push_back(1'000'000);
+    for (std::uint64_t i = 0; i < 1000; ++i)
         expected.push_back(i);
-    expected.push_back(-2);
+    expected.push_back(2'000'000);
 
-    EventQueue calendar(4, 2);
-    LegacyEventQueue legacy;
-    EXPECT_EQ(run(calendar), expected);
-    EXPECT_EQ(run(legacy), expected);
+    for (const auto &[buckets, width] : kPauseGeometries) {
+        EventQueue q(buckets, width);
+        q.post(99, EventRecord{.a = 1'000'000, .type = 1});
+        for (std::uint64_t i = 0; i < 1000; ++i)
+            q.post(100, EventRecord{.a = i, .type = 1});
+        q.post(101, EventRecord{.a = 2'000'000, .type = 1});
+        std::vector<std::uint64_t> order;
+        q.drain(kForever, [&](const EventRecord &rec) {
+            order.push_back(rec.a);
+            return false;
+        });
+        EXPECT_EQ(order, expected)
+            << "buckets=" << buckets << " width=" << width;
+    }
 }
 
-TEST(EventEngineTyped, RecordsRoundTripThroughNext)
+TEST(EventEngineTyped, RecordsRoundTripThroughDrain)
 {
     EventQueue q;
     int anchor = 0;
@@ -301,75 +408,24 @@ TEST(EventEngineTyped, RecordsRoundTripThroughNext)
     q.post(3, EventRecord{.a = 1, .type = 9});
     q.post(3, EventRecord{.a = 2, .type = 9}); // same time: FIFO
 
-    EventRecord rec;
-    ASSERT_TRUE(q.next(10, rec));
-    EXPECT_EQ(rec.type, 9u);
-    EXPECT_EQ(rec.a, 1u);
-    EXPECT_EQ(rec.time, 3u);
-    ASSERT_TRUE(q.next(10, rec));
-    EXPECT_EQ(rec.a, 2u);
-    ASSERT_TRUE(q.next(10, rec));
-    EXPECT_EQ(rec.type, 7u);
-    EXPECT_EQ(rec.a, 11u);
-    EXPECT_EQ(rec.b, 22u);
-    EXPECT_EQ(rec.p1, &anchor);
-    EXPECT_FALSE(q.next(10, rec));
+    std::vector<EventRecord> seen;
+    EXPECT_EQ(q.drain(10,
+                      [&](const EventRecord &rec) {
+                          seen.push_back(rec);
+                          return false;
+                      }),
+              3u);
+    ASSERT_EQ(seen.size(), 3u);
+    EXPECT_EQ(seen[0].type, 9u);
+    EXPECT_EQ(seen[0].a, 1u);
+    EXPECT_EQ(seen[0].time, 3u);
+    EXPECT_EQ(seen[1].a, 2u);
+    EXPECT_EQ(seen[2].type, 7u);
+    EXPECT_EQ(seen[2].a, 11u);
+    EXPECT_EQ(seen[2].b, 22u);
+    EXPECT_EQ(seen[2].p1, &anchor);
+    EXPECT_EQ(seen[2].time, 5u);
     EXPECT_EQ(q.now(), 10u);
-}
-
-TEST(EventEngineTyped, MixesWithPooledCallbacks)
-{
-    // The simulator's dispatch loop: typed records and callback records
-    // share one queue; kCallbackEvent routes through runCallback().
-    EventQueue q;
-    std::vector<int> order;
-    q.post(2, EventRecord{.a = 42, .type = 5});
-    q.schedule(1, [&] { order.push_back(1); });
-    q.schedule(3, [&] { order.push_back(3); });
-
-    EventRecord rec;
-    while (q.next(10, rec)) {
-        if (rec.type == kCallbackEvent)
-            q.runCallback(rec);
-        else
-            order.push_back(static_cast<int>(rec.a));
-    }
-    EXPECT_EQ(order, (std::vector<int>{1, 42, 3}));
-}
-
-TEST(EventEnginePool, SlotReuseDuringDispatchIsSafe)
-{
-    // runCallback() releases the slot before invoking, so a nested
-    // schedule may claim the running callback's own slot. The running
-    // callable must stay alive regardless (ASan verifies the capture).
-    EventQueue q;
-    auto value = std::make_shared<int>(7);
-    int observed = 0;
-    q.schedule(1, [&q, value, &observed] {
-        q.scheduleAfter(1, [&observed] { observed += 10; });
-        observed += *value; // touch captured heap state after the reuse
-    });
-    q.runAll();
-    EXPECT_EQ(observed, 17);
-    EXPECT_EQ(q.callbackPoolSize(), 1u); // one slot served both events
-}
-
-TEST(EventEnginePool, SelfReschedulingChainStaysInOneSlot)
-{
-    EventQueue q;
-    int chain = 0;
-    std::vector<std::shared_ptr<int>> alive;
-    std::function<void()> step = [&] {
-        auto payload = std::make_shared<int>(chain);
-        alive.push_back(payload);
-        if (++chain < 1000)
-            q.scheduleAfter(1, step);
-        EXPECT_EQ(*payload, chain - 1);
-    };
-    q.schedule(0, step);
-    q.runAll();
-    EXPECT_EQ(chain, 1000);
-    EXPECT_LE(q.callbackPoolSize(), 2u);
 }
 
 TEST(EventEngineThreads, IndependentQueuesAreIsolated)

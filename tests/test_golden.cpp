@@ -91,41 +91,6 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, GoldenFile,
                          scenarioName);
 
 /**
- * Differential determinism: the calendar event engine and the legacy
- * binary-heap engine must produce byte-identical simulation output.
- * Runs the trimmed fig12 scenario under both (ERMS_EVENT_ENGINE is
- * read per Simulation construction) and byte-compares — any dispatch
- * order divergence shows up as an RNG-stream split and fails loudly.
- */
-TEST(EventEngineDifferential, LegacyEngineMatchesCalendarByteForByte)
-{
-    unsetenv("ERMS_EVENT_ENGINE");
-    const std::string calendar = golden::fig12Golden();
-    setenv("ERMS_EVENT_ENGINE", "legacy", 1);
-    const std::string legacy = golden::fig12Golden();
-    unsetenv("ERMS_EVENT_ENGINE");
-    expectSame(calendar, legacy, "fig12 (legacy vs calendar engine)");
-}
-
-/**
- * Campaign differential: the chaos-campaign trajectory — fault planes,
- * corruption, guardrails, profiling calibration and all — must be
- * byte-identical on the legacy binary-heap engine. Campaigns are the
- * replay-evidence layer, so engine-dependent drift here would break
- * the archive -> replay contract across machines.
- */
-TEST(EventEngineDifferential, ChaosCampaignMatchesOnBothEngines)
-{
-    unsetenv("ERMS_EVENT_ENGINE");
-    const std::string calendar = golden::chaosCampaignGolden();
-    setenv("ERMS_EVENT_ENGINE", "legacy", 1);
-    const std::string legacy = golden::chaosCampaignGolden();
-    unsetenv("ERMS_EVENT_ENGINE");
-    expectSame(calendar, legacy,
-               "chaos_campaign (legacy vs calendar engine)");
-}
-
-/**
  * Sharded differential: ERMS_SHARDS=1 routes validation through the
  * sharded coordinator (src/shard) with a single shard — coordinated
  * minute stepping, merged metrics, the full lockstep machinery — which

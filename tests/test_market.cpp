@@ -7,7 +7,7 @@
  * strategy-proofness differential (overclaiming pays under naive
  * max-min, is neutralized under Karma), and the makeMarketController
  * integration (caps bind deployed containers; an unlimited market is
- * byte-identical to the unwrapped controller on both event engines).
+ * byte-identical to the unwrapped controller under either allocator).
  */
 
 #include <gtest/gtest.h>
@@ -728,7 +728,6 @@ class MarketControllerTest : public ::testing::Test
 
     RunResult
     run(const std::function<void(Simulation &, int)> &controller,
-        EventEngine engine = EventEngine::Calendar,
         const std::function<void(Simulation &, int)> &after = {})
     {
         SimConfig config;
@@ -736,7 +735,6 @@ class MarketControllerTest : public ::testing::Test
         config.warmupMinutes = 1;
         config.seed = 7;
         Simulation sim(catalog, config);
-        sim.setEventEngine(engine);
         sim.setBackgroundLoadAll(0.2, 0.2);
         int svc_index = 0;
         for (const ServiceSpec &svc : services) {
@@ -800,22 +798,19 @@ TEST_F(MarketControllerTest, CapsBindDeployedContainers)
         controller.makeAutoscaler(services), market, tenants);
 
     bool saw_binding_cap = false;
-    const auto result =
-        run(wrapped, EventEngine::Calendar,
-            [&](Simulation &s, int) {
-                const MarketEpoch &epoch = market->lastEpoch();
-                for (std::size_t a = 0; a < tenants.size(); ++a) {
-                    int deployed = 0;
-                    for (MicroserviceId id : tenants[a].microservices)
-                        deployed += s.containerCount(id);
-                    const auto floor_count = static_cast<Units>(
-                        tenants[a].microservices.size());
-                    ASSERT_LE(deployed,
-                              std::max(epoch.caps[a], floor_count));
-                    if (epoch.trueDemand[a] > epoch.caps[a])
-                        saw_binding_cap = true;
-                }
-            });
+    const auto result = run(wrapped, [&](Simulation &s, int) {
+        const MarketEpoch &epoch = market->lastEpoch();
+        for (std::size_t a = 0; a < tenants.size(); ++a) {
+            int deployed = 0;
+            for (MicroserviceId id : tenants[a].microservices)
+                deployed += s.containerCount(id);
+            const auto floor_count =
+                static_cast<Units>(tenants[a].microservices.size());
+            ASSERT_LE(deployed, std::max(epoch.caps[a], floor_count));
+            if (epoch.trueDemand[a] > epoch.caps[a])
+                saw_binding_cap = true;
+        }
+    });
     // The 12-unit market is far below what the autoscaler wants for
     // 12000 req/min, so the cap must have been binding.
     EXPECT_TRUE(saw_binding_cap);
@@ -842,7 +837,7 @@ TEST_F(MarketControllerTest, WrapperNeverScalesUpAndKeepsFloor)
     };
     auto wrapped = makeMarketController(recorder, market, tenants);
 
-    run(wrapped, EventEngine::Calendar, [&](Simulation &s, int) {
+    run(wrapped, [&](Simulation &s, int) {
         std::size_t k = 0;
         for (const auto &t : tenants) {
             for (MicroserviceId id : t.microservices) {
@@ -862,35 +857,22 @@ TEST_F(MarketControllerTest, UnlimitedMarketIsByteIdenticalCalendar)
     ErmsController controller(catalog, {});
     const auto raw = run(controller.makeAutoscaler(services));
 
-    auto market = std::make_shared<TenantMarket>(
-        1'000'000, std::make_unique<KarmaAllocator>(
-                       2, KarmaConfig{.initialCredits = 100}),
-        honestPolicies(2));
-    const auto wrapped = run(makeMarketController(
-        controller.makeAutoscaler(services), market, tenantServices()));
+    // Either allocator, given capacity no tenant can reach, must leave
+    // the wrapped controller's run bit-for-bit untouched.
+    std::vector<std::unique_ptr<MarketAllocator>> allocators;
+    allocators.push_back(std::make_unique<KarmaAllocator>(
+        2, KarmaConfig{.initialCredits = 100}));
+    allocators.push_back(std::make_unique<MaxMinAllocator>());
+    for (auto &allocator : allocators) {
+        auto market = std::make_shared<TenantMarket>(
+            1'000'000, std::move(allocator), honestPolicies(2));
+        const auto wrapped = run(makeMarketController(
+            controller.makeAutoscaler(services), market, tenantServices()));
 
-    EXPECT_EQ(raw.tenantContainers, wrapped.tenantContainers);
-    EXPECT_EQ(raw.worstP95, wrapped.worstP95); // bitwise-equal doubles
-    EXPECT_EQ(raw.requestsCompleted, wrapped.requestsCompleted);
-}
-
-TEST_F(MarketControllerTest, UnlimitedMarketIsByteIdenticalLegacyEngine)
-{
-    ErmsController controller(catalog, {});
-    const auto raw =
-        run(controller.makeAutoscaler(services), EventEngine::LegacyHeap);
-
-    auto market = std::make_shared<TenantMarket>(
-        1'000'000, std::make_unique<MaxMinAllocator>(),
-        honestPolicies(2));
-    const auto wrapped =
-        run(makeMarketController(controller.makeAutoscaler(services),
-                                 market, tenantServices()),
-            EventEngine::LegacyHeap);
-
-    EXPECT_EQ(raw.tenantContainers, wrapped.tenantContainers);
-    EXPECT_EQ(raw.worstP95, wrapped.worstP95);
-    EXPECT_EQ(raw.requestsCompleted, wrapped.requestsCompleted);
+        EXPECT_EQ(raw.tenantContainers, wrapped.tenantContainers);
+        EXPECT_EQ(raw.worstP95, wrapped.worstP95); // bitwise-equal doubles
+        EXPECT_EQ(raw.requestsCompleted, wrapped.requestsCompleted);
+    }
 }
 
 TEST_F(MarketControllerTest, ComposesWithBaselineAutoscaler)
@@ -908,7 +890,7 @@ TEST_F(MarketControllerTest, ComposesWithBaselineAutoscaler)
         market, tenants);
 
     const auto result =
-        run(wrapped, EventEngine::Calendar, [&](Simulation &s, int) {
+        run(wrapped, [&](Simulation &s, int) {
             const MarketEpoch &epoch = market->lastEpoch();
             for (std::size_t a = 0; a < tenants.size(); ++a) {
                 int deployed = 0;

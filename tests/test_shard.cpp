@@ -450,30 +450,6 @@ TEST(CoordinatedStepping, DeferredCallbackLandsAtInlinePosition)
     EXPECT_EQ(plain.containerCount(ms), stepped.containerCount(ms));
 }
 
-TEST(CoordinatedStepping, LegacyEngineSupportsStepping)
-{
-    SoloScenario scenario;
-    Simulation plain(scenario.catalog, soloConfig());
-    plain.setEventEngine(EventEngine::LegacyHeap);
-    scenario.attach(plain);
-    plain.run();
-
-    Simulation stepped(scenario.catalog, soloConfig());
-    stepped.setEventEngine(EventEngine::LegacyHeap);
-    scenario.attach(stepped);
-    stepped.setCoordinatedPause(true);
-    stepped.beginRun();
-    int pauses = 0;
-    while (stepped.advanceToMinuteBoundary() >= 0)
-        ++pauses;
-    EXPECT_EQ(pauses, 4);
-    EXPECT_EQ(plain.metrics().requestsCompleted,
-              stepped.metrics().requestsCompleted);
-    EXPECT_EQ(plain.metrics().eventsDispatched,
-              stepped.metrics().eventsDispatched);
-    EXPECT_EQ(plain.metrics().p95(0), stepped.metrics().p95(0));
-}
-
 // --------------------------------------------------------------------
 // sharded coordinator
 // --------------------------------------------------------------------

@@ -6,7 +6,7 @@
  * (knee picks + safe bounds), worker-count byte-identity of the sweep
  * harness, the guard's first-class metrics, and the campaign-level
  * transparency contracts: a disabled tuner is byte-identical to the
- * static guarded stack on both event engines, a clean stream leaves an
+ * static guarded stack, a clean stream leaves an
  * enabled tuner provably inert, and self-tuned runs replay identically
  * across ERMS_RUNNER_THREADS over 20 seeds.
  */
@@ -451,25 +451,21 @@ expectSameMinutes(const std::vector<CampaignMinute> &a,
     }
 }
 
-TEST(SelfTuningTransparency, DisabledTunerMatchesStaticOnBothEngines)
+TEST(SelfTuningTransparency, DisabledTunerMatchesStatic)
 {
-    for (const char *engine : {"calendar", "legacy"}) {
-        ASSERT_EQ(setenv("ERMS_EVENT_ENGINE", engine, 1), 0);
-        const CampaignConfig static_arm = microCampaign("med");
-        CampaignConfig tuned = microCampaign("med");
-        tuned.selfTuned = true;
-        tuned.tuner.enabled = false;
+    const CampaignConfig static_arm = microCampaign("med");
+    CampaignConfig tuned = microCampaign("med");
+    tuned.selfTuned = true;
+    tuned.tuner.enabled = false;
 
-        const CampaignResult a = runCampaign(static_arm);
-        const CampaignResult b = runCampaign(tuned);
-        expectSameMinutes(a.minutes, b.minutes);
-        ASSERT_EQ(a.perturbedHistory.size(), b.perturbedHistory.size());
-        for (std::size_t i = 0; i < a.perturbedHistory.size(); ++i)
-            EXPECT_TRUE(a.perturbedHistory[i] == b.perturbedHistory[i])
-                << engine << " scrape " << i;
-        EXPECT_TRUE(b.tunerAdjustments.empty());
-    }
-    unsetenv("ERMS_EVENT_ENGINE");
+    const CampaignResult a = runCampaign(static_arm);
+    const CampaignResult b = runCampaign(tuned);
+    expectSameMinutes(a.minutes, b.minutes);
+    ASSERT_EQ(a.perturbedHistory.size(), b.perturbedHistory.size());
+    for (std::size_t i = 0; i < a.perturbedHistory.size(); ++i)
+        EXPECT_TRUE(a.perturbedHistory[i] == b.perturbedHistory[i])
+            << "scrape " << i;
+    EXPECT_TRUE(b.tunerAdjustments.empty());
 }
 
 TEST(SelfTuningTransparency, CleanStreamLeavesEnabledTunerInert)
