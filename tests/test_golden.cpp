@@ -15,6 +15,19 @@
 
 #include "golden_scenarios.hpp"
 
+namespace erms::golden {
+
+/** Prints a scenario as its golden file name. gtest's default printer
+ *  dumps the object's raw bytes, heap pointers included, which would
+ *  make the registered test names differ from run to run. */
+void
+PrintTo(const Scenario &scenario, std::ostream *os)
+{
+    *os << scenario.file;
+}
+
+} // namespace erms::golden
+
 namespace erms {
 namespace {
 

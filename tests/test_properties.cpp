@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -170,6 +171,16 @@ struct SimSetting
     int containers;
     double bg;
 };
+
+/** Prints a setting by its fields. gtest's default printer dumps the
+ *  raw bytes, including the uninitialised padding after `containers`,
+ *  which would make the registered test names differ from run to run. */
+void
+PrintTo(const SimSetting &s, std::ostream *os)
+{
+    *os << "rate" << s.rate << "_containers" << s.containers << "_bg"
+        << s.bg;
+}
 
 class SimProperty : public ::testing::TestWithParam<SimSetting>
 {
