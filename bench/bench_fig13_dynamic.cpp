@@ -202,63 +202,53 @@ main()
     // observation (rate, interference, P95, container counts) comes
     // from interval-scraped, span-sampled monitor snapshots instead of
     // oracle simulator state — the information model the paper's §5
-    // monitoring loop actually operates under. Skipped when the
-    // ERMS_TELEMETRY_ORACLE escape hatch is set, which pins the output
-    // above byte-identical to the pre-telemetry benchmark.
+    // monitoring loop actually operates under.
     // ------------------------------------------------------------------
-    if (!telemetry::oracleTelemetryRequested()) {
-        printBanner(std::cout,
-                    "scraped telemetry vs oracle observation "
-                    "(30 s scrapes, 10% span sampling)");
-        std::vector<DynamicResult> scraped;
-        for (std::size_t k = 0; k < schemes.size(); ++k) {
-            auto monitor = std::make_shared<telemetry::SimMonitor>(
-                telemetry::MonitorConfig{});
-            auto view =
-                std::make_shared<telemetry::ScrapedTelemetryView>(*monitor);
-            std::function<void(Simulation &, int)> controller;
-            switch (k) {
-            case 0:
-                controller =
-                    makeDynamicController(erms_controller, services, view);
-                break;
-            case 1:
-                controller = makeBaselineAutoscaler(
-                    std::make_shared<GrandSlamAllocator>(), context,
-                    services, 1.2, view);
-                break;
-            case 2:
-                controller = makeBaselineAutoscaler(
-                    std::make_shared<RhythmAllocator>(), context, services,
-                    1.2, view);
-                break;
-            default:
-                controller =
-                    makeFirmReactiveController(catalog, services, view);
-                break;
-            }
-            scraped.push_back(runDynamic(catalog, app, series, sla,
-                                         controller, initial,
-                                         monitor.get()));
+    printBanner(std::cout,
+                "scraped telemetry vs oracle observation "
+                "(30 s scrapes, 10% span sampling)");
+    std::vector<DynamicResult> scraped;
+    for (std::size_t k = 0; k < schemes.size(); ++k) {
+        auto monitor = std::make_shared<telemetry::SimMonitor>(
+            telemetry::MonitorConfig{});
+        auto view = std::make_shared<telemetry::ScrapedTelemetryView>(*monitor);
+        std::function<void(Simulation &, int)> controller;
+        switch (k) {
+        case 0:
+            controller = makeDynamicController(erms_controller, services, view);
+            break;
+        case 1:
+            controller = makeBaselineAutoscaler(
+                std::make_shared<GrandSlamAllocator>(), context, services, 1.2,
+                view);
+            break;
+        case 2:
+            controller = makeBaselineAutoscaler(
+                std::make_shared<RhythmAllocator>(), context, services,
+                1.2, view);
+            break;
+        default:
+            controller = makeFirmReactiveController(catalog, services, view);
+            break;
         }
-
-        TextTable table({"scheme", "mean containers (oracle)",
-                         "mean containers (scraped)", "violations % (oracle)",
-                         "violations % (scraped)"});
-        for (std::size_t k = 0; k < schemes.size(); ++k) {
-            table.row()
-                .cell(schemes[k].name)
-                .cell(results[k].meanContainers, 1)
-                .cell(scraped[k].meanContainers, 1)
-                .cell(100.0 * results[k].violationMinutes, 1)
-                .cell(100.0 * scraped[k].violationMinutes, 1);
-        }
-        table.print(std::cout);
-        std::cout << "\nscraped observation is stale by up to one scrape "
-                     "interval and sampled at 10%,\nso controllers react "
-                     "slightly later than with oracle reads; set "
-                     "ERMS_TELEMETRY_ORACLE=1\nto suppress this section "
-                     "and reproduce the oracle-only output.\n";
+        scraped.push_back(runDynamic(catalog, app, series, sla, controller,
+                                     initial, monitor.get()));
     }
+
+    TextTable table({"scheme", "mean containers (oracle)",
+                     "mean containers (scraped)", "violations % (oracle)",
+                     "violations % (scraped)"});
+    for (std::size_t k = 0; k < schemes.size(); ++k) {
+        table.row()
+            .cell(schemes[k].name)
+            .cell(results[k].meanContainers, 1)
+            .cell(scraped[k].meanContainers, 1)
+            .cell(100.0 * results[k].violationMinutes, 1)
+            .cell(100.0 * scraped[k].violationMinutes, 1);
+    }
+    table.print(std::cout);
+    std::cout << "\nscraped observation is stale by up to one scrape "
+                 "interval and sampled at 10%,\nso controllers react "
+                 "slightly later than with oracle reads.\n";
     return 0;
 }

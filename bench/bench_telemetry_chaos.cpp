@@ -34,7 +34,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <iostream>
 
@@ -172,23 +171,8 @@ runArm(const MicroserviceCatalog &catalog, const Application &app,
     double container_minutes = 0.0;
     sim.setMinuteCallback([&](Simulation &s, int minute) {
         scaling(s, minute);
-        int total = 0;
-        for (MicroserviceId id : managed) {
+        for (MicroserviceId id : managed)
             container_minutes += s.containerCount(id);
-            total += s.containerCount(id);
-        }
-        if (std::getenv("ERMS_CHAOS_DEBUG") != nullptr) {
-            // Probe the RAW view only: guard queries feed its
-            // per-series history, so probing it would change behavior.
-            std::fprintf(stderr,
-                         "[dbg] %s m=%d total=%d rate=%.0f p95=%.1f "
-                         "stale=%.0f mode=%d\n",
-                         guarded ? "guarded" : "naive", minute, total,
-                         view->observedRate(services.front().id),
-                         view->serviceP95Ms(services.front().id),
-                         view->stalenessMs(s.now()),
-                         guard != nullptr ? (int)guard->mode() : -1);
-        }
     });
     sim.run();
 
@@ -200,12 +184,6 @@ runArm(const MicroserviceCatalog &catalog, const Application &app,
         violations += sim.metrics().violationRate(spec.id, kSla);
         result.worstP95 =
             std::max(result.worstP95, sim.metrics().p95(spec.id));
-        if (std::getenv("ERMS_CHAOS_DEBUG") != nullptr)
-            std::fprintf(stderr, "[svc] %s svc=%llu viol=%.2f p95=%.1f\n",
-                         guarded ? "guarded" : "naive",
-                         (unsigned long long)spec.id,
-                         100.0 * sim.metrics().violationRate(spec.id, kSla),
-                         sim.metrics().p95(spec.id));
     }
     result.violationPct =
         100.0 * violations / static_cast<double>(services.size());

@@ -106,28 +106,33 @@ ValidationResult::meanSloViolationRate() const
 
 namespace {
 
-/**
- * Sharded-coordinator validation path, selected by ERMS_SHARDS: the
- * same deployment sequence as validateImpl, executed across K shard
- * simulations in minute lockstep with merged metrics. ERMS_SHARDS=1 is
- * byte-identical to the unsharded path (the golden differential pins
- * it); K > 1 changes the partition geometry and RNG streams, so it is
- * a different — equally deterministic — experiment at larger scale.
- */
-ValidationResult
-validateSharded(const MicroserviceCatalog &catalog,
-                const std::vector<ServiceSpec> &services,
-                const GlobalPlan &plan, const Interference &itf,
-                const FaultConfig *fault,
-                const ResilienceConfig *resilience, int horizon_minutes,
-                std::uint64_t seed, int shards)
+/** Capacity repair over the whole plan, or per shard over its local
+ *  slice of the plan. */
+void
+installCapacityRepair(Simulation &sim, const GlobalPlan &plan)
 {
-    shard::ShardedSimConfig config;
-    config.base.horizonMinutes = horizon_minutes;
-    config.base.warmupMinutes = 1;
-    config.base.seed = seed;
-    config.shards = shards;
-    shard::ShardedSimulation sim(catalog, config);
+    sim.setMinuteCallback(makeCapacityRepairController(plan));
+}
+
+void
+installCapacityRepair(shard::ShardedSimulation &sim, const GlobalPlan &)
+{
+    for (int k = 0; k < sim.shardCount(); ++k)
+        sim.setShardMinuteController(
+            k, makeCapacityRepairController(sim.shardLocalPlan(k)));
+}
+
+/**
+ * One validation run over either simulator: deploy the services at
+ * their planned rates, optionally inject faults with capacity repair,
+ * run, and read the per-service outcome from the metrics.
+ */
+template <class Sim>
+ValidationResult
+runValidation(Sim &sim, const std::vector<ServiceSpec> &services,
+              const GlobalPlan &plan, const Interference &itf,
+              const FaultConfig *fault, const ResilienceConfig *resilience)
+{
     sim.setBackgroundLoadAll(itf.cpuUtil, itf.memUtil);
     for (const ServiceSpec &svc : services) {
         ServiceWorkload workload;
@@ -141,9 +146,7 @@ validateSharded(const MicroserviceCatalog &catalog,
     if (fault != nullptr) {
         sim.setFaultConfig(*fault);
         sim.setResilienceConfig(*resilience);
-        for (int k = 0; k < sim.shardCount(); ++k)
-            sim.setShardMinuteController(
-                k, makeCapacityRepairController(sim.shardLocalPlan(k)));
+        installCapacityRepair(sim, plan);
     }
     sim.run();
 
@@ -161,6 +164,14 @@ validateSharded(const MicroserviceCatalog &catalog,
     return result;
 }
 
+/**
+ * ERMS_SHARDS selects the sharded coordinator: the same deployment
+ * sequence executed across K shard simulations in minute lockstep with
+ * merged metrics. ERMS_SHARDS=1 is byte-identical to the unsharded path
+ * (the golden differential pins it); K > 1 changes the partition
+ * geometry and RNG streams, so it is a different — equally
+ * deterministic — experiment at larger scale.
+ */
 ValidationResult
 validateImpl(const MicroserviceCatalog &catalog,
              const std::vector<ServiceSpec> &services, const GlobalPlan &plan,
@@ -168,44 +179,19 @@ validateImpl(const MicroserviceCatalog &catalog,
              const ResilienceConfig *resilience, int horizon_minutes,
              std::uint64_t seed)
 {
-    if (const int shards = shard::shardsRequested(); shards >= 1) {
-        return validateSharded(catalog, services, plan, itf, fault,
-                               resilience, horizon_minutes, seed, shards);
-    }
     SimConfig config;
     config.horizonMinutes = horizon_minutes;
     config.warmupMinutes = 1;
     config.seed = seed;
+    if (const int shards = shard::shardsRequested(); shards >= 1) {
+        shard::ShardedSimConfig sharded;
+        sharded.base = config;
+        sharded.shards = shards;
+        shard::ShardedSimulation sim(catalog, sharded);
+        return runValidation(sim, services, plan, itf, fault, resilience);
+    }
     Simulation sim(catalog, config);
-    sim.setBackgroundLoadAll(itf.cpuUtil, itf.memUtil);
-    for (const ServiceSpec &svc : services) {
-        ServiceWorkload workload;
-        workload.id = svc.id;
-        workload.graph = svc.graph;
-        workload.slaMs = svc.slaMs;
-        workload.rate = svc.workload;
-        sim.addService(workload);
-    }
-    sim.applyPlan(plan);
-    if (fault != nullptr) {
-        sim.setFaultConfig(*fault);
-        sim.setResilienceConfig(*resilience);
-        sim.setMinuteCallback(makeCapacityRepairController(plan));
-    }
-    sim.run();
-
-    ValidationResult result;
-    for (const ServiceSpec &svc : services) {
-        result.p95Ms.push_back(sim.metrics().p95(svc.id));
-        result.violationRate.push_back(
-            sim.metrics().violationRate(svc.id, svc.slaMs));
-        result.sloViolationRate.push_back(
-            sim.metrics().sloViolationRate(svc.id, svc.slaMs));
-    }
-    result.requestsCompleted = sim.metrics().requestsCompleted;
-    result.requestsFailed = sim.metrics().requestsFailed;
-    result.faults = sim.metrics().faults;
-    return result;
+    return runValidation(sim, services, plan, itf, fault, resilience);
 }
 
 } // namespace

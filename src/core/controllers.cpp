@@ -6,19 +6,9 @@
 
 #include "common/error.hpp"
 #include "core/erms.hpp"
+#include "core/oracle_view.hpp"
 
 namespace erms {
-
-namespace {
-
-/** True when controller reads should go through the scraped view. */
-bool
-viewActive(const std::shared_ptr<const telemetry::TelemetryView> &view)
-{
-    return view != nullptr && !telemetry::oracleTelemetryRequested();
-}
-
-} // namespace
 
 std::function<void(Simulation &, int)>
 makeBaselineAutoscaler(std::shared_ptr<BaselineAllocator> allocator,
@@ -29,21 +19,18 @@ makeBaselineAutoscaler(std::shared_ptr<BaselineAllocator> allocator,
 {
     ERMS_ASSERT(allocator != nullptr);
     ERMS_ASSERT(context.catalog != nullptr);
-    if (!viewActive(view))
-        view = nullptr;
     return [allocator, context, services = std::move(services),
-            workload_headroom, view](Simulation &sim, int) mutable {
+            workload_headroom, view](Simulation &sim, int minute) mutable {
+        const OracleTelemetryView oracle(sim, minute);
+        const telemetry::TelemetryView &v = view ? *view : oracle;
         for (ServiceSpec &svc : services) {
-            const double observed = view != nullptr
-                                        ? view->observedRate(svc.id)
-                                        : sim.observedRate(svc.id);
+            const double observed = v.observedRate(svc.id);
             // Non-finite rates (a corrupted scrape) keep last workload.
             if (observed > 0.0 && std::isfinite(observed))
                 svc.workload = observed * workload_headroom;
         }
         BaselineContext ctx = context;
-        ctx.interference = view != nullptr ? view->clusterInterference()
-                                           : sim.clusterInterference();
+        ctx.interference = v.clusterInterference();
         // A NaN/Inf utilization would poison every latency estimate in
         // the allocator; fall back to the profiling-time interference.
         if (!finiteInterference(ctx.interference))
@@ -58,57 +45,28 @@ makeFirmReactiveController(const MicroserviceCatalog &catalog,
                            std::vector<ServiceSpec> services,
                            std::shared_ptr<const telemetry::TelemetryView> view)
 {
-    if (!viewActive(view))
-        view = nullptr;
     return [&catalog, services = std::move(services),
             view](Simulation &sim, int minute) {
-        const auto &metrics = sim.metrics();
+        const OracleTelemetryView oracle(sim, minute);
+        const telemetry::TelemetryView &v = view ? *view : oracle;
         for (const ServiceSpec &svc : services) {
-            double p95 = 0.0;
-            if (view != nullptr) {
-                p95 = view->serviceP95Ms(svc.id);
-                if (p95 <= 0.0 || !std::isfinite(p95))
-                    continue; // no sampled spans, or a corrupt scrape
-            } else {
-                auto windows_it = metrics.endToEndByMinute.find(svc.id);
-                if (windows_it == metrics.endToEndByMinute.end())
-                    continue;
-                const SampleSet &window = windows_it->second.window(
-                    static_cast<std::uint64_t>(minute));
-                if (window.empty())
-                    continue;
-                p95 = window.p95();
-            }
+            const double p95 = v.serviceP95Ms(svc.id);
+            if (p95 <= 0.0 || !std::isfinite(p95))
+                continue; // no samples this minute, or a corrupt scrape
 
             if (p95 > svc.slaMs) {
                 // Locate the critical component: the microservice with
-                // the worst observed tail latency this minute.
-                MicroserviceId critical = kInvalidMicroservice;
+                // the worst observed tail latency this minute. Nodes are
+                // root first, so when nothing was observed the root wins.
+                MicroserviceId critical = svc.graph->root();
                 double worst = -1.0;
-                if (view != nullptr) {
-                    for (MicroserviceId id : svc.graph->nodes()) {
-                        const double tail = view->microserviceTailMs(id);
-                        if (tail > worst) {
-                            worst = tail;
-                            critical = id;
-                        }
-                    }
-                } else {
-                    for (const ProfilingRecord &record :
-                         metrics.profiling) {
-                        if (record.minute !=
-                            static_cast<std::uint64_t>(minute))
-                            continue;
-                        if (!svc.graph->contains(record.microservice))
-                            continue;
-                        if (record.tailLatencyMs > worst) {
-                            worst = record.tailLatencyMs;
-                            critical = record.microservice;
-                        }
+                for (MicroserviceId id : svc.graph->nodes()) {
+                    const double tail = v.microserviceTailMs(id);
+                    if (tail > worst) {
+                        worst = tail;
+                        critical = id;
                     }
                 }
-                if (critical == kInvalidMicroservice)
-                    critical = svc.graph->root();
                 // Bump the critical component hard and everything else in
                 // the violating service a little (queues have built up
                 // everywhere by the time Firm notices).
@@ -146,13 +104,11 @@ std::function<void(Simulation &, int)>
 makeCapacityRepairController(
     GlobalPlan plan, std::shared_ptr<const telemetry::TelemetryView> view)
 {
-    if (!viewActive(view))
-        view = nullptr;
-    return [plan = std::move(plan), view](Simulation &sim, int) {
+    return [plan = std::move(plan), view](Simulation &sim, int minute) {
         if (plan.policy == SharingPolicy::NonSharing) {
             // Partitioned deployments: restore each service's dedicated
             // partition to its planned size (a no-op when intact).
-            // Oracle reads even with a view: the container gauge tracks
+            // Oracle-only, even with a view: the container gauge tracks
             // whole shared pools, not per-service partitions.
             for (const auto &alloc : plan.services) {
                 for (const auto &[ms, ms_alloc] : alloc.perMicroservice)
@@ -161,11 +117,11 @@ makeCapacityRepairController(
             }
             return;
         }
+        const OracleTelemetryView oracle(sim, minute);
+        const telemetry::TelemetryView &v = view ? *view : oracle;
         for (const auto &[ms, count] : plan.containers) {
-            int live = -1;
-            if (view != nullptr)
-                live = view->containerCount(ms);
-            if (live < 0)
+            int live = v.containerCount(ms);
+            if (live < 0) // series not scraped yet
                 live = sim.containerCount(ms);
             if (live < count)
                 sim.setContainerCount(ms, count);

@@ -23,13 +23,12 @@
 namespace erms {
 
 /**
- * Every controller takes an optional TelemetryView. When one is passed
- * (and ERMS_TELEMETRY_ORACLE does not force the escape hatch), all
+ * Every controller takes an optional TelemetryView and makes all its
  * observations — rates, interference, tail latencies, container
- * counts — come from scraped snapshots: interval-sampled, span-sampled
- * and stale by up to one scrape interval. With no view the controller
- * reads the simulator's oracle state directly, byte-identical to the
- * pre-telemetry behaviour.
+ * counts — through it. A scraped view answers from interval-sampled,
+ * span-sampled snapshots, stale by up to one scrape interval. With no
+ * view the controller observes through an OracleTelemetryView over the
+ * simulator's ground truth for the minute that just ended.
  */
 
 /**

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "core/oracle_view.hpp"
 
 namespace erms {
 
@@ -26,8 +27,6 @@ ErmsController::makeAutoscaler(
     std::vector<ServiceSpec> services,
     std::shared_ptr<const telemetry::TelemetryView> view) const
 {
-    if (view != nullptr && telemetry::oracleTelemetryRequested())
-        view = nullptr; // escape hatch: force oracle observations
     // The closure owns its service list; observed rates overwrite the
     // workload field each minute. A service whose observed P95 exceeded
     // its SLA gets a recovery boost: matching capacity to arrivals alone
@@ -35,28 +34,18 @@ ErmsController::makeAutoscaler(
     // until the tail is back under the SLA.
     return [this, services = std::move(services),
             view](Simulation &sim, int minute) mutable {
+        const OracleTelemetryView oracle(sim, minute);
+        const telemetry::TelemetryView &v = view ? *view : oracle;
         for (ServiceSpec &svc : services) {
-            const double observed = view != nullptr
-                                        ? view->observedRate(svc.id)
-                                        : sim.observedRate(svc.id);
+            const double observed = v.observedRate(svc.id);
             // Keep the previous workload on no data *or* a corrupt
             // (non-finite) scrape — never plan against NaN arrivals.
             if (observed <= 0.0 || !std::isfinite(observed))
                 continue;
             double factor = config_.workloadHeadroom;
-            if (view != nullptr) {
-                const double p95 = view->serviceP95Ms(svc.id);
-                if (std::isfinite(p95) && p95 > svc.slaMs)
-                    factor *= 1.6; // drain the backlog
-            } else if (auto it =
-                           sim.metrics().endToEndByMinute.find(svc.id);
-                       it != sim.metrics().endToEndByMinute.end()) {
-                const double p95 =
-                    it->second.window(static_cast<std::uint64_t>(minute))
-                        .p95();
-                if (p95 > svc.slaMs)
-                    factor *= 1.6; // drain the backlog
-            }
+            const double p95 = v.serviceP95Ms(svc.id);
+            if (std::isfinite(p95) && p95 > svc.slaMs)
+                factor *= 1.6; // drain the backlog
             svc.workload = observed * factor;
         }
         // Best-effort degradation: if the SLA is model-infeasible at
@@ -64,8 +53,7 @@ ErmsController::makeAutoscaler(
         // re-plan against a relaxed SLA rather than freezing the stale
         // deployment — an under-scaled cluster melts down, a best-effort
         // plan merely misses the target.
-        Interference itf = view != nullptr ? view->clusterInterference()
-                                           : sim.clusterInterference();
+        Interference itf = v.clusterInterference();
         // A non-finite utilization poisons every latency estimate in
         // the planner; degrade to a no-interference plan instead.
         if (!finiteInterference(itf))

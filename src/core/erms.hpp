@@ -56,10 +56,9 @@ class ErmsController
      * priority orders). The workload field of each ServiceSpec is the
      * bootstrap rate used until a full minute of observations exists.
      *
-     * With a TelemetryView the rate/interference/P95 reads come from
-     * scraped snapshots instead of simulator oracle state (unless the
-     * ERMS_TELEMETRY_ORACLE escape hatch forces oracle reads); a null
-     * view keeps the original oracle observations byte-identical.
+     * The rate/interference/P95 reads go through `view`; a null view
+     * observes through an OracleTelemetryView over the simulator's
+     * ground truth.
      */
     std::function<void(Simulation &, int)>
     makeAutoscaler(std::vector<ServiceSpec> services,

@@ -1,20 +1,8 @@
 #include "view.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 namespace erms::telemetry {
-
-bool
-oracleTelemetryRequested()
-{
-    const char *value = std::getenv("ERMS_TELEMETRY_ORACLE");
-    if (value == nullptr || *value == '\0')
-        return false;
-    return std::strcmp(value, "0") != 0 &&
-           std::strcmp(value, "false") != 0;
-}
 
 ScrapedTelemetryView::ScrapedTelemetryView(const SimMonitor &monitor)
     : monitor_(&monitor)
@@ -26,13 +14,6 @@ SnapshotTelemetryView::latest() const
 {
     const auto &snaps = visibleSnapshots();
     return snaps.empty() ? nullptr : &snaps.back();
-}
-
-const TelemetrySnapshot *
-SnapshotTelemetryView::previous() const
-{
-    const auto &snaps = visibleSnapshots();
-    return snaps.size() < 2 ? nullptr : &snaps[snaps.size() - 2];
 }
 
 double

@@ -8,11 +8,10 @@
  * §5's monitoring loop decides scaling from scraped Prometheus/Jaeger
  * state, not from ground truth.
  *
- * Controllers accept an optional TelemetryView; passing none — or
- * setting the ERMS_TELEMETRY_ORACLE environment variable to a truthy
- * value — keeps the original oracle reads (Simulation::observedRate,
- * clusterInterference, per-minute metrics), byte-identical to the
- * pre-telemetry code path.
+ * Controllers accept an optional TelemetryView; passing none makes
+ * them observe through OracleTelemetryView (src/core/oracle_view.hpp),
+ * which answers the same questions from the simulator's ground truth
+ * (Simulation::observedRate, clusterInterference, per-minute metrics).
  *
  * The query math lives in SnapshotTelemetryView, which answers every
  * TelemetryView question from an abstract snapshot stream. Decorators
@@ -31,8 +30,9 @@
 namespace erms::telemetry {
 
 /**
- * Read-only observation surface for controllers. All answers reflect
- * the most recent scrape(s), not the current instant.
+ * Read-only observation surface for controllers. A scraped view's
+ * answers reflect the most recent scrape(s), not the current instant;
+ * OracleTelemetryView answers from ground truth and is never stale.
  */
 class TelemetryView
 {
@@ -63,10 +63,6 @@ class TelemetryView
      *  value when no scrape happened yet. */
     virtual double stalenessMs(SimTime now) const = 0;
 };
-
-/** True when ERMS_TELEMETRY_ORACLE requests the oracle escape hatch
- *  (set and not "0"/"false"/""). */
-bool oracleTelemetryRequested();
 
 /**
  * TelemetryView answered from a time-ascending snapshot stream. Rates
@@ -102,8 +98,6 @@ class SnapshotTelemetryView : public TelemetryView
   private:
     /** Newest snapshot, or nullptr before the first scrape. */
     const TelemetrySnapshot *latest() const;
-    /** Second-newest snapshot, or nullptr. */
-    const TelemetrySnapshot *previous() const;
 
     double histogramDeltaQuantile(const std::string &name,
                                   const Labels &labels, double q) const;

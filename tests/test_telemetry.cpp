@@ -4,21 +4,22 @@
  * gauges, histograms, deterministic snapshot ordering), quantile
  * estimation against exact sorted samples, scraped-view staleness and
  * rate computation, exporter round-trips, deterministic span sampling,
- * and the ERMS_TELEMETRY_ORACLE escape hatch reproducing the oracle
- * controller observations exactly.
+ * and OracleTelemetryView answering exactly as the simulator accessors
+ * it mirrors (including the Firm controller's root fallback).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <map>
 #include <thread>
 
 #include "apps/applications.hpp"
 #include "common/stats.hpp"
 #include "core/controllers.hpp"
 #include "core/erms.hpp"
+#include "core/oracle_view.hpp"
 #include "sim/simulation.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/monitor.hpp"
@@ -412,87 +413,178 @@ TEST(TelemetryView, ContainerGaugeWithAbsenceSentinel)
 }
 
 // ---------------------------------------------------------------------
-// Oracle escape hatch: with ERMS_TELEMETRY_ORACLE set, a controller
-// built WITH a view must behave exactly like one built without.
+// OracleTelemetryView: the view controllers observe through when given
+// none. Every answer must equal the simulator accessor it mirrors.
 // ---------------------------------------------------------------------
 
-struct DynamicRunResult
+/** The minute's profiling tail latency by a full-history scan; 0 when
+ *  the microservice has no record that minute. */
+double
+referenceTailMs(const Simulation &sim, MicroserviceId ms, int minute)
 {
-    std::uint64_t requestsCompleted = 0;
-    std::vector<double> latencies;
-};
-
-DynamicRunResult
-runSeededDynamic(const MicroserviceCatalog &catalog, const Application &app,
-                 const ErmsController &controller, bool with_view,
-                 std::uint64_t seed)
-{
-    SimConfig config;
-    config.horizonMinutes = 4;
-    config.warmupMinutes = 1;
-    config.seed = seed;
-    Simulation sim(catalog, config);
-    auto monitor = std::make_shared<telemetry::SimMonitor>();
-    std::shared_ptr<const telemetry::TelemetryView> view;
-    if (with_view) {
-        sim.setMonitor(monitor.get());
-        view = std::make_shared<telemetry::ScrapedTelemetryView>(*monitor);
-    }
-    std::vector<ServiceSpec> services;
-    for (const auto &graph : app.graphs) {
-        ServiceWorkload svc;
-        svc.id = graph.service();
-        svc.graph = &graph;
-        svc.slaMs = 300.0;
-        svc.rate = 8000.0;
-        sim.addService(svc);
-        ServiceSpec spec;
-        spec.id = graph.service();
-        spec.graph = &graph;
-        spec.slaMs = 300.0;
-        spec.workload = 8000.0;
-        services.push_back(spec);
-    }
-    const GlobalPlan initial =
-        controller.plan(services, Interference{0.2, 0.2});
-    sim.applyPlan(initial);
-    sim.setMinuteCallback(makeDynamicController(controller, services, view));
-    sim.run();
-
-    DynamicRunResult result;
-    result.requestsCompleted = sim.metrics().requestsCompleted;
-    for (const auto &graph : app.graphs) {
-        auto it = sim.metrics().endToEndMs.find(graph.service());
-        if (it == sim.metrics().endToEndMs.end())
-            continue;
-        result.latencies.insert(result.latencies.end(),
-                                it->second.samples().begin(),
-                                it->second.samples().end());
-    }
-    return result;
+    for (const ProfilingRecord &record : sim.metrics().profiling)
+        if (record.minute == static_cast<std::uint64_t>(minute) &&
+            record.microservice == ms)
+            return record.tailLatencyMs;
+    return 0.0;
 }
 
-TEST(TelemetryOracleMode, EscapeHatchReproducesOracleRunExactly)
+/** P95 of the service's end-to-end window for the minute; 0 when the
+ *  window is empty or the service was never observed. */
+double
+referenceP95Ms(const Simulation &sim, ServiceId service, int minute)
+{
+    const auto &windows = sim.metrics().endToEndByMinute;
+    const auto it = windows.find(service);
+    if (it == windows.end())
+        return 0.0;
+    const SampleSet &window =
+        it->second.window(static_cast<std::uint64_t>(minute));
+    return window.empty() ? 0.0 : window.p95();
+}
+
+TEST(OracleTelemetryView, AnswersMirrorSimulatorAccessors)
 {
     MicroserviceCatalog catalog;
     // Application factories attach bootstrap analytic latency models,
     // so the controller can plan without an offline profiling pass.
     const Application app = makeMotivationShared(catalog, 0);
     ErmsController controller(catalog, ErmsConfig{});
+    constexpr ServiceId kUnknownService = 4242;
+    constexpr MicroserviceId kUnknownMs = 4242;
 
     for (std::uint64_t seed : {3u, 19u}) {
-        const DynamicRunResult oracle =
-            runSeededDynamic(catalog, app, controller, false, seed);
+        SimConfig config;
+        config.horizonMinutes = 4;
+        config.warmupMinutes = 1;
+        config.seed = seed;
+        Simulation sim(catalog, config);
+        std::vector<ServiceSpec> services;
+        std::vector<MicroserviceId> microservices;
+        for (const auto &graph : app.graphs) {
+            ServiceWorkload svc;
+            svc.id = graph.service();
+            svc.graph = &graph;
+            svc.slaMs = 300.0;
+            svc.rate = 8000.0;
+            sim.addService(svc);
+            ServiceSpec spec;
+            spec.id = graph.service();
+            spec.graph = &graph;
+            spec.slaMs = 300.0;
+            spec.workload = 8000.0;
+            services.push_back(spec);
+            for (MicroserviceId id : graph.nodes())
+                microservices.push_back(id);
+        }
+        sim.applyPlan(controller.plan(services, Interference{0.2, 0.2}));
 
-        ::setenv("ERMS_TELEMETRY_ORACLE", "1", 1);
-        const DynamicRunResult hatch =
-            runSeededDynamic(catalog, app, controller, true, seed);
-        ::unsetenv("ERMS_TELEMETRY_ORACLE");
+        int minutes_checked = 0, records_found = 0, windows_found = 0;
+        sim.setMinuteCallback([&](Simulation &s, int minute) {
+            ++minutes_checked;
+            // The ended minute, and the next one (no samples or records
+            // exist for it yet, so every latency answer must be 0).
+            for (int m : {minute, minute + 1}) {
+                const OracleTelemetryView view(s, m);
+                EXPECT_EQ(view.stalenessMs(s.now()), 0.0);
+                const Interference itf = view.clusterInterference();
+                EXPECT_EQ(itf.cpuUtil, s.clusterInterference().cpuUtil);
+                EXPECT_EQ(itf.memUtil, s.clusterInterference().memUtil);
+                for (const ServiceSpec &svc : services) {
+                    EXPECT_EQ(view.observedRate(svc.id),
+                              s.observedRate(svc.id));
+                    const double p95 = referenceP95Ms(s, svc.id, m);
+                    EXPECT_EQ(view.serviceP95Ms(svc.id), p95);
+                    windows_found += m == minute && p95 > 0.0;
+                    if (m != minute) {
+                        EXPECT_EQ(view.serviceP95Ms(svc.id), 0.0);
+                    }
+                }
+                for (MicroserviceId id : microservices) {
+                    EXPECT_EQ(view.containerCount(id), s.containerCount(id));
+                    const double tail = referenceTailMs(s, id, m);
+                    EXPECT_EQ(view.microserviceTailMs(id), tail);
+                    records_found += m == minute && tail > 0.0;
+                    if (m != minute) {
+                        EXPECT_EQ(view.microserviceTailMs(id), 0.0);
+                    }
+                }
+                EXPECT_EQ(view.observedRate(kUnknownService), 0.0);
+                EXPECT_EQ(view.serviceP95Ms(kUnknownService), 0.0);
+                EXPECT_EQ(view.microserviceTailMs(kUnknownMs), 0.0);
+            }
+        });
+        sim.run();
 
-        EXPECT_EQ(oracle.requestsCompleted, hatch.requestsCompleted)
-            << "seed " << seed;
-        EXPECT_EQ(oracle.latencies, hatch.latencies) << "seed " << seed;
+        EXPECT_EQ(minutes_checked, config.horizonMinutes) << "seed " << seed;
+        EXPECT_GT(windows_found, 0) << "seed " << seed;
+        EXPECT_GT(records_found, 0) << "seed " << seed;
     }
+}
+
+TEST(OracleTelemetryView, FirmBumpsRootWhenNoMicroserviceWasProfiled)
+{
+    // The Firm spec for service 0 carries a graph that receives no
+    // traffic: the service's P95 (from the live graph) violates the
+    // SLA, but none of the spec graph's microservices has a profiling
+    // record that minute, so the critical-component search must fall
+    // back to the spec graph's root.
+    MicroserviceCatalog catalog;
+    const auto add = [&catalog](const std::string &name) {
+        MicroserviceProfile profile;
+        profile.name = name;
+        return catalog.add(profile);
+    };
+    const MicroserviceId live_root = add("live_root");
+    const MicroserviceId idle_root = add("idle_root");
+    const MicroserviceId idle_a = add("idle_a");
+    const MicroserviceId idle_b = add("idle_b");
+    DependencyGraph live(0, live_root);
+    DependencyGraph idle(0, idle_root);
+    idle.addCall(idle_root, idle_a, 0);
+    idle.addCall(idle_root, idle_b, 1);
+
+    SimConfig config;
+    config.horizonMinutes = 3;
+    config.warmupMinutes = 0;
+    Simulation sim(catalog, config);
+    ServiceWorkload svc;
+    svc.id = 0;
+    svc.graph = &live;
+    svc.rate = 600.0;
+    sim.addService(svc);
+    sim.setContainerCount(live_root, 2);
+    for (MicroserviceId id : idle.nodes())
+        sim.setContainerCount(id, 10);
+
+    ServiceSpec spec;
+    spec.id = 0;
+    spec.graph = &idle;
+    spec.slaMs = 1e-6; // every observed P95 violates
+    auto firm = makeFirmReactiveController(catalog, {spec});
+
+    int bumps = 0;
+    sim.setMinuteCallback([&](Simulation &s, int minute) {
+        const OracleTelemetryView view(s, minute);
+        ASSERT_GT(view.serviceP95Ms(0), spec.slaMs);
+        std::map<MicroserviceId, int> before;
+        for (MicroserviceId id : idle.nodes()) {
+            ASSERT_EQ(view.microserviceTailMs(id), 0.0);
+            before[id] = s.containerCount(id);
+        }
+        firm(s, minute);
+        for (MicroserviceId id : idle.nodes()) {
+            const double step = id == idle_root ? 0.30 : 0.10;
+            const int expected =
+                before[id] +
+                std::max(1, static_cast<int>(std::ceil(step * before[id])));
+            EXPECT_EQ(s.containerCount(id), expected)
+                << "minute " << minute << " ms " << id;
+        }
+        ++bumps;
+    });
+    sim.run();
+    EXPECT_EQ(bumps, config.horizonMinutes);
 }
 
 } // namespace
