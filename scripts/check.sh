@@ -4,13 +4,14 @@
 # chaos, and runner tests (the code paths with the hairiest object
 # lifetimes: pooled call contexts, container erasure on crash, hedge
 # cancellation, lazily cached perturbed snapshots), the golden,
-# market, tuning, and property suites, an UndefinedBehaviorSanitizer pass
-# over the numeric-heavy telemetry/guard/chaos/tuning paths (quantile
-# interpolation, counter deltas, NaN/Inf guards, feedback-rule
-# streak arithmetic), a ThreadSanitizer pass over the
-# parallel runner, the event engine, and the sharded coordinator's
-# merge path (concurrent shard controllers reading the merged
-# telemetry view), determinism passes (the golden tables must come out
+# market, tuning, property and profiling-memo suites, an
+# UndefinedBehaviorSanitizer pass over the numeric-heavy
+# telemetry/guard/chaos/tuning paths (quantile interpolation, counter
+# deltas, NaN/Inf guards, feedback-rule streak arithmetic), a
+# ThreadSanitizer pass over the parallel runner, the event engine, the
+# single-flight profiling memo, and the sharded coordinator's merge
+# path (concurrent shard controllers reading the merged telemetry
+# view), determinism passes (the golden tables must come out
 # identical with one worker vs the hardware default, and through the
 # K=1 sharded coordinator vs the unsharded path; the tenant-market
 # bench table must come out identical with one runner worker vs the
@@ -44,6 +45,9 @@ cmake --build build-asan -j"$JOBS" \
 ./build-asan/tests/erms_tests_golden
 ./build-asan/tests/erms_tests_system \
     --gtest_filter='*Property*:*StatsMerge*:*HistogramMerge*:*TelemetryTransparency*'
+# The process-wide profiling memo: shared futures, erased entries on a
+# throwing sweep, copies handed to every caller.
+./build-asan/tests/erms_tests_system --gtest_filter='*ProfilingMemo*'
 ./build-asan/tests/erms_tests_telemetry
 ./build-asan/tests/erms_tests_chaos
 # The campaign suite's full-size runs are slow under ASan; the archive/
@@ -78,11 +82,15 @@ UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_sim \
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_tuning \
     --gtest_filter='AdaptiveTuner.*:TunerConfigValidation.*:GuardrailConfigValidation.*:SweepReduction.*:SweepConfigValidation.*:GuardMetrics.*:GuardRetune.*:SelfTuningDeterminism.SelfTunedCampaignReplaysExactly'
 
-echo "== tsan: parallel runner + event engine + snapshot path (build-tsan/) =="
+echo "== tsan: parallel runner + event engine + snapshot path + profiling memo (build-tsan/) =="
 cmake -B build-tsan -S . -DERMS_SANITIZE=thread
 cmake --build build-tsan -j"$JOBS" \
-    --target erms_tests_runner erms_tests_event_engine erms_tests_shard
+    --target erms_tests_runner erms_tests_event_engine erms_tests_shard \
+             erms_tests_system
 ./build-tsan/tests/erms_tests_runner
+# The profiling memo is single-flight: eight runner tasks ask for one
+# sweep at once, one computes and the rest wait on its shared future.
+./build-tsan/tests/erms_tests_system --gtest_filter='*ProfilingMemo*'
 # erms_tests_event_engine includes SnapshotThreads.*, which hammers the
 # double-buffered Simulation::clusterSnapshot() path from reader
 # threads while run() executes — the cross-thread surface the dispatch

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <future>
+#include <mutex>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "sim/simulation.hpp"
@@ -24,19 +28,141 @@ profileKnee(const MicroserviceProfile &profile, double cpu_bg, double mem_bg)
     return 0.7 * threads * 60000.0 / inflated;
 }
 
+/** Throw ErmsError unless the sweep inputs are well-formed. */
+void
+validateSweep(const std::vector<const DependencyGraph *> &graphs,
+              const ProfilingSweepConfig &config)
+{
+    const auto fail = [](const std::string &what) {
+        throw ErmsError("ProfilingSweepConfig: " + what);
+    };
+    if (graphs.empty())
+        fail("no graph to profile");
+    for (const DependencyGraph *graph : graphs)
+        if (graph == nullptr)
+            fail("null graph");
+    if (config.loadFractions.empty())
+        fail("no load fraction");
+    for (double fraction : config.loadFractions)
+        if (!std::isfinite(fraction) || fraction <= 0.0)
+            fail("load fraction " + std::to_string(fraction) +
+                 " is not finite and > 0");
+    if (!std::isfinite(config.ratePerService) || config.ratePerService <= 0.0)
+        fail("ratePerService " + std::to_string(config.ratePerService) +
+             " is not finite and > 0");
+    if (config.interferenceLevels.empty())
+        fail("no interference level");
+    for (const auto &[cpu, mem] : config.interferenceLevels)
+        for (double level : {cpu, mem})
+            if (!std::isfinite(level) || level < 0.0 || level > 1.0)
+                fail("interference level " + std::to_string(level) +
+                     " is not finite and in [0, 1]");
+    if (config.minutesPerCell < 1)
+        fail("minutesPerCell must be >= 1");
+    if (config.hostCount < 1)
+        fail("hostCount must be >= 1");
+}
+
+/** Appends fixed-width values to a memo key as their raw bytes. */
+class KeyWriter
+{
+  public:
+    template <typename T>
+    KeyWriter &
+    add(T value)
+    {
+        static_assert(std::is_arithmetic_v<T>);
+        char bytes[sizeof(T)];
+        std::memcpy(bytes, &value, sizeof(T));
+        key_.append(bytes, sizeof(T));
+        return *this;
+    }
+
+    KeyWriter &
+    add(const std::string &text)
+    {
+        add<std::uint64_t>(text.size());
+        key_.append(text);
+        return *this;
+    }
+
+    std::string take() { return std::move(key_); }
+
+  private:
+    std::string key_;
+};
+
+/** The process-wide sweep memo: one shared future per distinct key. */
+struct SweepMemo
+{
+    std::mutex mutex;
+    std::unordered_map<std::string, std::shared_future<ProfilingSamples>>
+        entries;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+};
+
+SweepMemo &
+sweepMemo()
+{
+    static SweepMemo memo;
+    return memo;
+}
+
 } // namespace
 
-std::unordered_map<MicroserviceId, std::vector<ProfilingSample>>
-collectProfilingSamples(const MicroserviceCatalog &catalog,
-                        const std::vector<const DependencyGraph *> &graphs,
-                        const ProfilingSweepConfig &config)
-{
-    ERMS_ASSERT(!graphs.empty());
-    ERMS_ASSERT(!config.loadFractions.empty());
-    ERMS_ASSERT(!config.interferenceLevels.empty());
-    ERMS_ASSERT(config.ratePerService > 0.0);
+namespace detail {
 
-    std::unordered_map<MicroserviceId, std::vector<ProfilingSample>> samples;
+std::string
+profilingMemoKey(const MicroserviceCatalog &catalog,
+                 const std::vector<const DependencyGraph *> &graphs,
+                 const ProfilingSweepConfig &config)
+{
+    KeyWriter key;
+    key.add<std::uint64_t>(catalog.size());
+    for (MicroserviceId id = 0; id < catalog.size(); ++id) {
+        const MicroserviceProfile &p = catalog.profile(id);
+        key.add(p.name)
+            .add(p.resources.cpuCores)
+            .add(p.resources.memoryMb)
+            .add(p.threadsPerContainer)
+            .add(p.baseServiceMs)
+            .add(p.serviceCv)
+            .add(p.cpuSlowdown)
+            .add(p.memSlowdown)
+            .add(p.networkMs);
+    }
+    key.add<std::uint64_t>(graphs.size());
+    for (const DependencyGraph *graph : graphs) {
+        key.add(graph->service()).add(graph->root());
+        key.add<std::uint64_t>(graph->nodes().size());
+        for (MicroserviceId node : graph->nodes()) {
+            const std::vector<DependencyGraph::Call> &calls =
+                graph->calls(node);
+            key.add(node).add<std::uint64_t>(calls.size());
+            for (const DependencyGraph::Call &call : calls)
+                key.add(call.callee).add(call.stage).add(call.multiplicity);
+        }
+    }
+    key.add<std::uint64_t>(config.loadFractions.size());
+    for (double fraction : config.loadFractions)
+        key.add(fraction);
+    key.add(config.ratePerService);
+    key.add<std::uint64_t>(config.interferenceLevels.size());
+    for (const auto &[cpu, mem] : config.interferenceLevels)
+        key.add(cpu).add(mem);
+    key.add(config.minutesPerCell).add(config.hostCount).add(config.seed);
+    return key.take();
+}
+
+ProfilingSamples
+sweepUncached(const MicroserviceCatalog &catalog,
+              const std::vector<const DependencyGraph *> &graphs,
+              const ProfilingSweepConfig &config)
+{
+    validateSweep(graphs, config);
+
+    ProfilingSamples samples;
     std::uint64_t seed = config.seed;
 
     for (const auto &[cpu_bg, mem_bg] : config.interferenceLevels) {
@@ -91,11 +217,62 @@ collectProfilingSamples(const MicroserviceCatalog &catalog,
     return samples;
 }
 
+} // namespace detail
+
+ProfilingSamples
+collectProfilingSamples(const MicroserviceCatalog &catalog,
+                        const std::vector<const DependencyGraph *> &graphs,
+                        const ProfilingSweepConfig &config)
+{
+    validateSweep(graphs, config);
+    std::string key = detail::profilingMemoKey(catalog, graphs, config);
+
+    SweepMemo &memo = sweepMemo();
+    std::promise<ProfilingSamples> promise;
+    std::shared_future<ProfilingSamples> result;
+    bool owner = false;
+    {
+        std::lock_guard<std::mutex> lock(memo.mutex);
+        const auto it = memo.entries.find(key);
+        if (it != memo.entries.end()) {
+            ++memo.hits;
+            result = it->second;
+        } else {
+            ++memo.misses;
+            result = promise.get_future().share();
+            memo.entries.emplace(key, result);
+            owner = true;
+        }
+    }
+    if (owner) {
+        try {
+            promise.set_value(
+                detail::sweepUncached(catalog, graphs, config));
+        } catch (...) {
+            // Drop the entry before waking the waiters, so any call
+            // after this one sweeps again instead of seeing the error.
+            {
+                std::lock_guard<std::mutex> lock(memo.mutex);
+                memo.entries.erase(key);
+            }
+            promise.set_exception(std::current_exception());
+        }
+    }
+    return result.get();
+}
+
+ProfilingMemoStats
+profilingMemoStats()
+{
+    SweepMemo &memo = sweepMemo();
+    std::lock_guard<std::mutex> lock(memo.mutex);
+    return {memo.hits, memo.misses, memo.entries.size()};
+}
+
 std::unordered_map<MicroserviceId, double>
 fitAndAttachModels(
     MicroserviceCatalog &catalog,
-    const std::unordered_map<MicroserviceId, std::vector<ProfilingSample>>
-        &samples,
+    const ProfilingSamples &samples,
     const PiecewiseFitConfig &fit_config)
 {
     std::unordered_map<MicroserviceId, double> accuracy;

@@ -81,7 +81,8 @@ runCampaign(const CampaignConfig &config)
     // needs *tight* plans — otherwise provisioning slack absorbs any
     // amount of telemetry lying and every arm trivially meets its SLA.
     // The sweep is a pure function of (catalog, graphs, sweep config),
-    // so every arm of one intensity profiles identically.
+    // so every arm over one population shares one memoised sweep: the
+    // first arm in the process profiles, the rest reuse its samples.
     {
         std::vector<const DependencyGraph *> graph_ptrs;
         graph_ptrs.reserve(trace.graphs.size());
