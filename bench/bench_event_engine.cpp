@@ -1,11 +1,12 @@
 /**
  * @file
- * Event-engine perf trajectory: measures the raw queue and the largest
- * simulation configuration, then writes absolute events per second
- * (median, min and max over the repetitions) together with the host's
- * CPU model and online CPU count as machine-readable JSON.
+ * Event-engine perf trajectory: measures the raw queue (dense and
+ * sparse timer populations) and the largest simulation configuration,
+ * then writes absolute events per second (median, min and max over the
+ * repetitions) together with the host's CPU model and online CPU count
+ * as machine-readable JSON.
  *
- * Equal-work gate: every raw repetition must dispatch exactly the
+ * Equal-work gate: every raw repetition must dispatch exactly its
  * requested event count, and every simulation repetition must dispatch
  * the same count; otherwise the numbers describe different work and
  * the program exits nonzero.
@@ -131,6 +132,7 @@ main(int argc, char **argv)
         argc > 1 ? argv[1] : "BENCH_event_engine.json";
 
     constexpr std::uint64_t kRawEvents = 8'000'000;
+    constexpr std::uint64_t kSparseEvents = 2'000'000;
     constexpr int kSimMinutes = 1;
     constexpr int kSimScale = 8;
     constexpr int kReps = 5; // odd, so the median is one real run
@@ -138,11 +140,16 @@ main(int argc, char **argv)
     std::fprintf(stderr, "raw queue...\n");
     const std::vector<EngineRun> raw =
         repeat(kReps, [] { return runRawQueue(kRawEvents); });
+    std::fprintf(stderr, "sparse raw queue...\n");
+    const std::vector<EngineRun> sparse =
+        repeat(kReps, [] { return runRawQueueSparse(kSparseEvents); });
     std::fprintf(stderr, "simulation (largest config)...\n");
     const std::vector<EngineRun> sim = repeat(
         kReps, [] { return runSimScenario(kSimMinutes, kSimScale); });
 
     const bool fair = sameWork("raw queue", raw, kRawEvents) &&
+                      sameWork("sparse raw queue", sparse,
+                               kSparseEvents) &&
                       sameWork("simulation", sim, sim.front().events);
 
     std::FILE *out = std::fopen(path.c_str(), "w");
@@ -157,19 +164,24 @@ main(int argc, char **argv)
     std::fprintf(out, "  \"host_nproc\": %u,\n", onlineCpus());
     std::fprintf(out, "  \"raw_events_requested\": %llu,\n",
                  static_cast<unsigned long long>(kRawEvents));
+    std::fprintf(out, "  \"raw_sparse_events_requested\": %llu,\n",
+                 static_cast<unsigned long long>(kSparseEvents));
     std::fprintf(out, "  \"sim_minutes\": %d,\n", kSimMinutes);
     std::fprintf(out, "  \"sim_scale\": %d,\n", kSimScale);
     std::fprintf(out, "  \"reps\": %d,\n", kReps);
     writeSection(out, "raw_queue", raw, /*last=*/false);
+    writeSection(out, "raw_queue_sparse", sparse, /*last=*/false);
     writeSection(out, "sim_largest", sim, /*last=*/true);
     std::fprintf(out, "}\n");
     std::fclose(out);
 
     std::fprintf(stderr,
                  "raw queue:   %.2fM ev/s median\n"
+                 "sparse raw:  %.2fM ev/s median\n"
                  "sim largest: %.2fM ev/s median\n"
                  "wrote %s\n",
                  sortedRates(raw)[kReps / 2] / 1e6,
+                 sortedRates(sparse)[kReps / 2] / 1e6,
                  sortedRates(sim)[kReps / 2] / 1e6, path.c_str());
     return fair ? 0 : 1;
 }

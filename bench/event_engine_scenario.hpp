@@ -3,11 +3,14 @@
  * Shared event-engine benchmark scenarios, used by bench_event_engine
  * (the machine-readable perf trajectory, BENCH_event_engine.json) and
  * by the events-per-second section of bench_scalability. Both measure
- * the same two workloads:
+ * the same workloads:
  *
  *  - raw queue: a self-perpetuating timer population (every dispatched
  *    event schedules a successor at a pseudo-random offset), the pure
  *    engine cost with no simulator logic on top;
+ *  - sparse raw queue (bench_event_engine only): the same with a few
+ *    timers spaced milliseconds apart, so most wheel buckets between
+ *    two events are empty — the cost of finding the next event;
  *  - simulation: the largest scalability configuration — a fan-out
  *    dependency graph under heavy load — timed end to end, with the
  *    engine's dispatch counter as the work measure.
@@ -49,25 +52,29 @@ mixOffset(std::uint64_t x)
 }
 
 constexpr std::uint64_t kTimerPopulation = 4096;
+constexpr std::uint64_t kSparseTimerPopulation = 16;
 
-/** Raw-queue workload: typed records through post()/drain(), the
- *  simulator's allocation-free hot path. Each dispatch posts its
- *  successor; the drain pauses after exactly total_events dispatches. */
+/** Timer workload: typed records through post()/drain(), the
+ *  simulator's allocation-free hot path. `population` timers start at
+ *  offsets in [0, gap_range); each dispatch re-arms its timer
+ *  min_gap + [0, gap_range) microseconds later, and the drain pauses
+ *  after exactly total_events dispatches. */
 inline EngineRun
-runRawQueue(std::uint64_t total_events)
+runTimerQueue(std::uint64_t total_events, std::uint64_t population,
+              SimTime min_gap, SimTime gap_range)
 {
     EventQueue q;
     std::uint64_t state = 1;
-    for (std::uint64_t i = 0; i < kTimerPopulation; ++i) {
+    for (std::uint64_t i = 0; i < population; ++i) {
         state = mixOffset(state);
-        q.post(state % 1024, EventRecord{.a = i, .type = 1});
+        q.post(state % gap_range, EventRecord{.a = i, .type = 1});
     }
     std::uint64_t dispatched = 0;
     const auto start = std::chrono::steady_clock::now();
     if (total_events > 0) {
         q.drain(~static_cast<SimTime>(0), [&](const EventRecord &rec) {
             state = mixOffset(state + rec.a);
-            q.postAfter(1 + state % 1024,
+            q.postAfter(min_gap + state % gap_range,
                         EventRecord{.a = rec.a, .type = 1});
             return ++dispatched == total_events;
         });
@@ -77,6 +84,23 @@ runRawQueue(std::uint64_t total_events)
     run.seconds = std::chrono::duration<double>(stop - start).count();
     run.events = dispatched;
     return run;
+}
+
+/** Dense raw queue: 4096 timers re-armed 1–1024 µs out, so nearly
+ *  every 32 µs bucket holds several records. */
+inline EngineRun
+runRawQueue(std::uint64_t total_events)
+{
+    return runTimerQueue(total_events, kTimerPopulation, 1, 1024);
+}
+
+/** Sparse raw queue: 16 timers re-armed 1–5 ms out, so about five
+ *  empty 32 µs buckets separate two consecutive events, and the
+ *  window moves by a far-list jump every ~65 ms of simulated time. */
+inline EngineRun
+runRawQueueSparse(std::uint64_t total_events)
+{
+    return runTimerQueue(total_events, kSparseTimerPopulation, 1000, 4001);
 }
 
 /** The largest simulation configuration of the scalability suite:

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Perf trajectories: rewrites BENCH_event_engine.json (absolute
-# events/s of the raw queue and the largest simulation config, with the
-# host CPU model and nproc; see docs/event_engine.md) and
-# BENCH_sharded_scale.json (events/s and resident memory vs shard count
-# on the 500-service / 1200-host catalog; see docs/sharding.md) at the
-# repo root. Run on a quiet machine — background load skews the
-# numbers.
+# events/s of the dense and sparse raw queues and the largest
+# simulation config, with the host CPU model and nproc; see
+# docs/event_engine.md) and BENCH_sharded_scale.json (events/s and
+# resident memory vs shard count on the 500-service / 1200-host
+# catalog; see docs/sharding.md) at the repo root. Run on a quiet
+# machine — background load skews the numbers.
 #
 # Usage: scripts/bench_perf.sh [jobs]   (default: 2)
 
@@ -21,11 +21,12 @@ cmake --build build -j"$JOBS" --target bench_event_engine bench_sharded_scale
 fresh="build/BENCH_event_engine.json"
 ./build/bench/bench_event_engine "$fresh"
 
-# Equal-work gate on the written JSON: every raw repetition dispatched
-# exactly the requested count, and every simulation repetition
-# dispatched the same count as the committed BENCH_event_engine.json
-# (the simulator's work for this config changes only with a deliberate
-# behaviour change, which must then say so and update the file).
+# Equal-work gate on the written JSON: every raw repetition (dense and
+# sparse) dispatched exactly its requested count, and every simulation
+# repetition dispatched the same count as the committed
+# BENCH_event_engine.json (the simulator's work for this config changes
+# only with a deliberate behaviour change, which must then say so and
+# update the file).
 python3 - "$fresh" BENCH_event_engine.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -34,6 +35,10 @@ raw = doc["raw_queue"]["rep_events"]
 if any(n != doc["raw_events_requested"] for n in raw):
     sys.exit(f"raw_queue: dispatched {raw}, "
              f"requested {doc['raw_events_requested']}")
+sparse = doc["raw_queue_sparse"]["rep_events"]
+if any(n != doc["raw_sparse_events_requested"] for n in sparse):
+    sys.exit(f"raw_queue_sparse: dispatched {sparse}, "
+             f"requested {doc['raw_sparse_events_requested']}")
 sim = doc["sim_largest"]["rep_events"]
 prev = committed["sim_largest"]["rep_events"][0]
 if len(set(sim)) != 1 or sim[0] != prev:

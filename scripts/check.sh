@@ -7,7 +7,8 @@
 # market, tuning, property and profiling-memo suites, an
 # UndefinedBehaviorSanitizer pass over the numeric-heavy
 # telemetry/guard/chaos/tuning paths (quantile interpolation, counter
-# deltas, NaN/Inf guards, feedback-rule streak arithmetic), a
+# deltas, NaN/Inf guards, feedback-rule streak arithmetic) and the
+# event engine (the calendar wheel's occupancy-bitmap shifts), a
 # ThreadSanitizer pass over the parallel runner, the event engine, the
 # single-flight profiling memo, and the sharded coordinator's merge
 # path (concurrent shard controllers reading the merged telemetry
@@ -68,17 +69,20 @@ cmake --build build-asan -j"$JOBS" \
 ./build-asan/tests/erms_tests_tuning \
     --gtest_filter='AdaptiveTuner.*:TunerConfigValidation.*:GuardrailConfigValidation.*:SweepReduction.*:SweepConfigValidation.*:GuardMetrics.*:GuardRetune.*:SelfTuningDeterminism.SelfTunedCampaignReplaysExactly'
 
-echo "== ubsan: telemetry + guard + chaos + campaign + tuning numeric paths (build-ubsan/) =="
+echo "== ubsan: telemetry + guard + chaos + campaign + tuning numeric paths + event engine (build-ubsan/) =="
 cmake -B build-ubsan -S . -DERMS_SANITIZE=undefined
 cmake --build build-ubsan -j"$JOBS" \
     --target erms_tests_telemetry erms_tests_chaos erms_tests_campaign \
-             erms_tests_sim erms_tests_tuning
+             erms_tests_sim erms_tests_tuning erms_tests_event_engine
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_telemetry
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_chaos
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_campaign \
     --gtest_filter='CampaignAzSchedule.*:CampaignCorruption.*:CampaignFaultyViewCache.*:CampaignArms.*:CampaignArchive.MalformedDocumentThrows:CampaignBaselineTransparency.*'
+# The event queue's bitmap shifts and find-first-set, through the
+# ordering fuzz and the queue's own unit tests.
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_sim \
-    --gtest_filter='Fault*:Resilience*'
+    --gtest_filter='Fault*:Resilience*:EventQueue*'
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_event_engine
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_tuning \
     --gtest_filter='AdaptiveTuner.*:TunerConfigValidation.*:GuardrailConfigValidation.*:SweepReduction.*:SweepConfigValidation.*:GuardMetrics.*:GuardRetune.*:SelfTuningDeterminism.SelfTunedCampaignReplaysExactly'
 

@@ -156,10 +156,17 @@ SampleSet::fractionAbove(double threshold) const
 {
     if (samples_.empty())
         return 0.0;
-    ensureSorted();
-    const auto it =
-        std::upper_bound(samples_.begin(), samples_.end(), threshold);
-    const auto above = static_cast<double>(samples_.end() - it);
+    // Counting needs no order: an unsorted set is scanned once instead
+    // of sorted. The count is an exact integer, so the result is
+    // bit-identical to the sorted path.
+    const auto above = static_cast<double>(
+        sorted_ ? samples_.end() - std::upper_bound(samples_.begin(),
+                                                     samples_.end(),
+                                                     threshold)
+                : std::count_if(samples_.begin(), samples_.end(),
+                                [threshold](double x) {
+                                    return x > threshold;
+                                }));
     return above / static_cast<double>(samples_.size());
 }
 

@@ -93,7 +93,9 @@ class SampleSet
     double min() const;
     double max() const;
 
-    /** Fraction of samples strictly greater than the threshold. */
+    /** Fraction of samples strictly greater than the threshold. An
+     *  unsorted set is counted in one pass and left in its order (no
+     *  sort), so the query never changes what a later mean() sums. */
     double fractionAbove(double threshold) const;
 
     /**
@@ -117,7 +119,12 @@ class SampleSet
   private:
     /** Below this size a quantile query just sorts: repeated queries
      *  on small (controller/test-sized) sets then hit the sorted fast
-     *  path instead of re-selecting each time. */
+     *  path instead of re-selecting each time. The value is also part
+     *  of the pinned output: the simulator's minute boundary reads
+     *  mean() right after p95() on each microservice's latency set
+     *  (Simulation::onMinuteBoundary), and mean() sums in buffer
+     *  order, so sets under this size must stay summed in sorted
+     *  order or the golden tables move by an ULP. */
     static constexpr std::size_t kSelectThreshold = 4096;
 
     void ensureSorted() const;

@@ -88,15 +88,6 @@ fitInterval(const std::vector<const ProfilingSample *> &samples)
     return params;
 }
 
-double
-intervalError(const IntervalParams &params, const ProfilingSample &s)
-{
-    const double pred =
-        params.evaluate(s.gamma, Interference{s.cpuUtil, s.memUtil});
-    const double err = pred - s.latencyMs;
-    return err * err;
-}
-
 } // namespace
 
 std::vector<double>

@@ -17,14 +17,14 @@ isPowerOfTwo(std::uint64_t v)
 } // namespace
 
 EventQueue::EventQueue(std::size_t bucket_count, SimTime bucket_width)
-    : bucketCount_(bucket_count), bucketWidth_(bucket_width),
-      span_(static_cast<SimTime>(bucket_count) * bucket_width)
+    : buckets_(bucket_count), bucketWidth_(bucket_width),
+      span_(static_cast<SimTime>(bucket_count) * bucket_width),
+      occupied_((bucket_count + 63) / 64, 0)
 {
     ERMS_ASSERT_MSG(isPowerOfTwo(bucket_count),
                     "bucket count must be a power of two");
     ERMS_ASSERT_MSG(isPowerOfTwo(bucket_width),
                     "bucket width must be a power of two");
-    buckets_.resize(bucketCount_);
 }
 
 void
@@ -40,6 +40,7 @@ EventQueue::pourFar()
             const std::size_t index = static_cast<std::size_t>(
                 (rec.time - windowStart_) / bucketWidth_);
             buckets_[index].push_back(rec);
+            markOccupied(index);
             ++wheelCount_;
             continue;
         }

@@ -23,6 +23,9 @@
  *    determinism contract every golden table pins — but the
  *    steady-state per-event cost is an index bump plus one comparison
  *    instead of a heap sift.
+ *  - An occupancy bitmap (one bit per bucket, 64 to a word) lets the
+ *    cursor jump over runs of empty buckets with find-first-set
+ *    instead of visiting them one at a time.
  *  - drain() is the only way to consume events. Internally it takes
  *    maximal runs of ready events as one batch — usually a zero-copy
  *    span over the sorted bucket itself — so the owner's dispatch runs
@@ -224,11 +227,40 @@ class EventQueue
      *  buckets; recompute farMin_. */
     void pourFar();
 
+    void
+    markOccupied(std::size_t index)
+    {
+        occupied_[index >> 6] |= std::uint64_t{1} << (index & 63);
+    }
+
+    void
+    markEmpty(std::size_t index)
+    {
+        occupied_[index >> 6] &= ~(std::uint64_t{1} << (index & 63));
+    }
+
+    /** First bucket at or after `from` whose occupancy bit is set. The
+     *  caller guarantees one exists (a wheel record lies at or after
+     *  `from`). */
+    std::size_t
+    nextOccupied(std::size_t from) const
+    {
+        std::size_t word = from >> 6;
+        std::uint64_t bits =
+            occupied_[word] & (~std::uint64_t{0} << (from & 63));
+        while (bits == 0) {
+            ++word;
+            ERMS_ASSERT_MSG(word < occupied_.size(),
+                            "wheel records but no occupied bucket");
+            bits = occupied_[word];
+        }
+        return (word << 6) | static_cast<std::size_t>(__builtin_ctzll(bits));
+    }
+
     // calendar wheel ----------------------------------------------------
     std::vector<std::vector<EventRecord>> buckets_;
-    std::size_t bucketCount_;
     SimTime bucketWidth_;
-    SimTime span_;          ///< bucketCount_ * bucketWidth_
+    SimTime span_;          ///< buckets_.size() * bucketWidth_
     SimTime windowStart_ = 0;
     std::size_t cursor_ = 0;
     /** Current bucket sorted ascending; consumed entries are the
@@ -240,6 +272,12 @@ class EventQueue
      *  buckets_[cursor_], and only while activeSorted_. */
     std::size_t activeHead_ = 0;
     std::size_t wheelCount_ = 0; ///< records currently in buckets/spill
+    /** One bit per bucket, 64 buckets to a word. Invariant: bit clear
+     *  => bucket empty. A bit is set wherever a record enters a bucket
+     *  and cleared only where peekTime() discards a drained bucket, so
+     *  a set bit may be stale (a rewind can leave its old cursor bucket
+     *  empty); peekTime() clears such a bucket when it reaches it. */
+    std::vector<std::uint64_t> occupied_;
 
     /** Merge buffer for nextBatch() runs that interleave spill/early
      *  records (the zero-copy bucket window doesn't apply there). */
@@ -314,6 +352,7 @@ EventQueue::post(SimTime t, EventRecord rec)
         if (!spill_.empty()) {
             active.insert(active.end(), spill_.begin(), spill_.end());
             spill_.clear();
+            markOccupied(cursor_);
         }
         cursor_ = index;
         activeSorted_ = false;
@@ -323,6 +362,7 @@ EventQueue::post(SimTime t, EventRecord rec)
         std::push_heap(spill_.begin(), spill_.end(), Later{});
     } else {
         buckets_[index].push_back(rec);
+        markOccupied(index);
     }
     ++wheelCount_;
 }
@@ -352,22 +392,22 @@ EventQueue::peekTime(SimTime &t)
             bucket.clear();
             activeHead_ = 0;
             activeSorted_ = false;
+            markEmpty(cursor_);
             if (wheelCount_ == 0) {
                 // Everything pending lives in the far list: jump the
                 // window straight to it instead of walking empty
                 // rotations.
                 windowStart_ = farMin_ - farMin_ % span_;
-                cursor_ = 0;
                 pourFar(); // farMin_ lands inside the new window
+                cursor_ = nextOccupied(0);
                 continue;
             }
-            ++cursor_;
-            if (cursor_ == bucketCount_) {
-                windowStart_ += span_;
-                cursor_ = 0;
-                if (!far_.empty())
-                    pourFar();
-            }
+            // Buckets before the cursor are empty and the spill heap is
+            // too, so every wheel record sits in a later bucket of this
+            // window: jump straight to the first occupied one. The
+            // window therefore never wraps while the wheel holds
+            // records; it only moves by the far-list jump above.
+            cursor_ = nextOccupied(cursor_);
             continue;
         }
         if (!activeSorted_) {

@@ -2,8 +2,9 @@
  * @file
  * Property/fuzz tests for the event engine. Random post/drain
  * interleavings — same-timestamp bursts, cascades posted during
- * dispatch, horizon-segmented draining, and drains paused at seeded
- * random records and resumed — are checked against a naive reference
+ * dispatch, horizon-segmented draining, drains paused at seeded
+ * random records and resumed, and sparse batches whose events sit
+ * runs of empty buckets apart — are checked against a naive reference
  * model (linear scan for the (time, seq) minimum) across the
  * production and degenerate bucket geometries. Every run goes through
  * EventQueue::drain(), the exact protocol the simulator uses. Also
@@ -371,6 +372,141 @@ TEST(EventEngineFuzz, PausedSegmentedDrainWithPostsMatchesReference)
             }
         }
     }
+}
+
+/** Bucket-count gaps of the sparse fuzz: within one bitmap word, on
+ *  both sides of a word boundary (63/64/65), across several words,
+ *  and a whole production window (2048) or more — on small geometries
+ *  the long gaps span many windows and force far-list jumps. 0 keeps
+ *  same-bucket neighbours in the mix. */
+constexpr SimTime kSparseGapBuckets[] = {0,  1,   4,    63,
+                                         64, 65,  128,  2048,
+                                         3 * 2048 + 5};
+
+/** Initial (time, id) batch whose consecutive times are separated by
+ *  kSparseGapBuckets gaps (in buckets of `width`) plus a sub-bucket
+ *  jitter, so most buckets between two events are empty. */
+std::vector<std::pair<SimTime, std::uint64_t>>
+makeSparseBatch(std::uint64_t seed, std::size_t count, SimTime base,
+                SimTime width)
+{
+    constexpr std::size_t kGaps =
+        sizeof kSparseGapBuckets / sizeof kSparseGapBuckets[0];
+    std::vector<std::pair<SimTime, std::uint64_t>> batch;
+    batch.reserve(count);
+    std::uint64_t s = mix(seed);
+    SimTime t = base;
+    for (std::size_t i = 0; i < count; ++i) {
+        s = mix(s + i);
+        t += kSparseGapBuckets[s % kGaps] * width + (s >> 16) % width;
+        const std::uint64_t id = (s >> 8) & ((1ull << kGenShift) - 1);
+        batch.emplace_back(t, id);
+    }
+    return batch;
+}
+
+/** Geometries of the sparse fuzz: production, two and one bitmap
+ *  words, a sub-word wheel and the 1 x 1 degenerate wheel. */
+const std::pair<std::size_t, SimTime> kSparseGeometries[] = {
+    {2048, 32}, {128, 4}, {64, 1}, {4, 2}, {1, 1}};
+
+TEST(EventEngineFuzz, SparseGapsMatchReference)
+{
+    // Events separated by runs of empty buckets: the cursor must find
+    // the next occupied bucket across word boundaries and whole
+    // windows, and jump the window to the far list when the wheel
+    // empties.
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+        for (const auto &[buckets, width] : kSparseGeometries) {
+            const auto batch = makeSparseBatch(seed, 120, 0, width);
+            ReferenceModel ref;
+            EventQueue q(buckets, width);
+            EngineDriver engine(q);
+            for (const auto &[t, id] : batch) {
+                ref.seed(t, id);
+                engine.seed(t, id);
+            }
+            ref.drainUntil(kForever);
+            engine.drain(kForever);
+            EXPECT_EQ(engine.order(), ref.order())
+                << "seed " << seed << " buckets=" << buckets
+                << " width=" << width;
+            EXPECT_TRUE(q.empty());
+        }
+    }
+}
+
+TEST(EventEngineFuzz, SparsePausedSegmentedDrainMatchesReference)
+{
+    // Horizons fall inside the empty runs, so the cursor has already
+    // jumped past the horizon when the next batch is posted from the
+    // idled clock: those posts land behind the cursor (a rewind) or
+    // behind a window that jumped ahead (the early heap). Drains pause
+    // at seeded records and post at the paused clock before resuming.
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+        for (const auto &[buckets, width] : kSparseGeometries) {
+            ReferenceModel ref;
+            EventQueue q(buckets, width);
+            EngineDriver engine(q);
+            const auto pause = pausePoints(mix(seed + 53), 4);
+
+            SimTime horizon = 0;
+            for (int segment = 0; segment < 6; ++segment) {
+                const std::uint64_t sseed = mix(seed * 977 + segment);
+                for (const auto &[t, id] :
+                     makeSparseBatch(sseed, 20, q.now(), width)) {
+                    ref.seed(t, id);
+                    engine.seed(t, id);
+                }
+                horizon += (1 + mix(sseed) % 300) * width;
+                for (std::uint64_t k = 0;; ++k) {
+                    const bool paused = engine.drain(horizon, pause);
+                    ASSERT_EQ(paused, ref.drainUntil(horizon, pause));
+                    ASSERT_EQ(engine.order(), ref.order())
+                        << "seed " << seed << " segment " << segment
+                        << " buckets=" << buckets << " width=" << width;
+                    if (!paused)
+                        break;
+                    ASSERT_EQ(q.now(), ref.now());
+                    const std::uint64_t id =
+                        mix(sseed ^ (k + 1)) & ((1ull << kGenShift) - 1);
+                    const SimTime at = q.now() + mix(id) % (4 * width);
+                    ref.seed(at, id);
+                    engine.seed(at, id);
+                }
+                ASSERT_EQ(q.pending(), ref.pending());
+                ASSERT_EQ(q.now(), horizon);
+            }
+            ref.drainUntil(kForever);
+            engine.drain(kForever);
+            EXPECT_EQ(engine.order(), ref.order())
+                << "seed " << seed << " buckets=" << buckets
+                << " width=" << width;
+            EXPECT_TRUE(q.empty());
+        }
+    }
+}
+
+TEST(EventEngineSparse, PostBehindJumpedCursorRunsFirst)
+{
+    // The cursor jumps from bucket 0 to the only occupied bucket, far
+    // past the horizon; posts from the idled clock then land behind it
+    // (one in the same bitmap word, one a word later) and must still
+    // run first, in time order.
+    EventQueue q; // 2048 x 32 us
+    q.post(1000 * 32, EventRecord{.a = 3, .type = 1});
+    std::vector<std::uint64_t> order;
+    auto record = [&](const EventRecord &rec) {
+        order.push_back(rec.a);
+        return false;
+    };
+    EXPECT_EQ(q.drain(10 * 32, record), 0u);
+    EXPECT_EQ(q.now(), 10u * 32);
+    q.post(500 * 32, EventRecord{.a = 2, .type = 1});
+    q.post(20 * 32, EventRecord{.a = 1, .type = 1});
+    EXPECT_EQ(q.drain(kForever, record), 3u);
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventEngineFuzz, LongSameTimestampBurstIsFifoAcrossEngines)

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/stats.hpp"
 
@@ -122,6 +124,65 @@ TEST(SampleSet, FractionAboveIsStrict)
     EXPECT_DOUBLE_EQ(set.fractionAbove(2.0), 0.5);
     EXPECT_DOUBLE_EQ(set.fractionAbove(0.0), 1.0);
     EXPECT_DOUBLE_EQ(set.fractionAbove(4.0), 0.0);
+}
+
+/** fractionAbove() of a set that has never been sorted and of the
+ *  same samples after a sort (min() sorts), bit for bit, over every
+ *  sample value as a threshold (ties), points between and beyond. */
+void
+expectUnsortedCountMatchesSorted(const std::vector<double> &xs)
+{
+    std::vector<double> thresholds = {-1e300, 1e300};
+    for (double x : xs) {
+        thresholds.push_back(x);
+        thresholds.push_back(x + 0.5);
+        thresholds.push_back(x - 0.5);
+    }
+    for (double threshold : thresholds) {
+        SampleSet unsorted;
+        unsorted.addAll(xs);
+        SampleSet sorted;
+        sorted.addAll(xs);
+        sorted.min();
+        EXPECT_EQ(unsorted.fractionAbove(threshold),
+                  sorted.fractionAbove(threshold))
+            << "threshold " << threshold << " over " << xs.size()
+            << " samples";
+        // Counting leaves the buffer in insertion order, so a later
+        // mean() sums exactly what it would have without the query.
+        EXPECT_EQ(unsorted.samples(), xs);
+    }
+}
+
+TEST(SampleSet, FractionAboveUnsortedMatchesSortedPath)
+{
+    expectUnsortedCountMatchesSorted({});
+    expectUnsortedCountMatchesSorted({7.0});
+    expectUnsortedCountMatchesSorted({0.0});
+    // Ties at the threshold and duplicates on both sides of it.
+    expectUnsortedCountMatchesSorted({3.0, 1.0, 3.0, 3.0, 2.0, 5.0, 3.0});
+    expectUnsortedCountMatchesSorted({4.0, 4.0, 4.0, 4.0});
+    expectUnsortedCountMatchesSorted({-2.0, 9.5, -2.0, 0.0, 9.5, 1e-9});
+
+    // A minute-sized window, past the selection threshold, with heavy
+    // duplication (values on a 0.25 ms grid).
+    std::vector<double> window;
+    std::uint64_t x = 12345;
+    for (int i = 0; i < 5000; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        window.push_back(static_cast<double>((x >> 33) % 200) * 0.25);
+    }
+    SampleSet unsorted;
+    unsorted.addAll(window);
+    SampleSet sorted;
+    sorted.addAll(window);
+    sorted.min();
+    for (double threshold : {-1.0, 0.0, 12.5, 24.75, 25.0, 49.75, 50.0}) {
+        EXPECT_EQ(unsorted.fractionAbove(threshold),
+                  sorted.fractionAbove(threshold))
+            << "threshold " << threshold;
+    }
+    EXPECT_EQ(unsorted.samples(), window);
 }
 
 TEST(SampleSet, CdfAtPoints)
